@@ -7,7 +7,7 @@ mod common;
 use ifls_bench::harness::{threads_arg, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ifls_core::{parallel::default_threads, EfficientIfls, ModifiedMinMax, ParallelSolver};
+use ifls_core::{parallel::default_threads, EfficientIfls, MinMax, ModifiedMinMax, ParallelSolver};
 use ifls_venues::NamedVenue;
 use ifls_viptree::{VipTree, VipTreeConfig};
 use ifls_workloads::{ParameterGrid, WorkloadBuilder};
@@ -40,7 +40,9 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("parallel_t{threads}"), fn_),
             &w,
-            |b, w| b.iter(|| black_box(solver.run_minmax(&w.clients, &w.existing, &w.candidates))),
+            |b, w| {
+                b.iter(|| black_box(solver.run::<MinMax>(&w.clients, &w.existing, &w.candidates)))
+            },
         );
     }
     group.finish();

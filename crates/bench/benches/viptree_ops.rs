@@ -6,7 +6,7 @@ mod common;
 use ifls_bench::harness::{threads_arg, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ifls_core::{parallel::default_threads, BatchRunner, IflsQuery};
+use ifls_core::{parallel::default_threads, BatchRunner, IflsQuery, MinMax};
 use ifls_indoor::{DoorId, IndoorPoint};
 use ifls_venues::NamedVenue;
 use ifls_viptree::{FacilityIndex, IncrementalNn, VipTree, VipTreeConfig};
@@ -123,11 +123,11 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("viptree_batch");
     group.bench_function(format!("minmax_x16_t{threads}").as_str(), |b| {
         let runner = BatchRunner::with_threads(&tree, threads);
-        b.iter(|| black_box(runner.run_minmax(&queries)))
+        b.iter(|| black_box(runner.run::<MinMax>(&queries)))
     });
     group.bench_function("minmax_x16_t1", |b| {
         let runner = BatchRunner::with_threads(&tree, 1);
-        b.iter(|| black_box(runner.run_minmax(&queries)))
+        b.iter(|| black_box(runner.run::<MinMax>(&queries)))
     });
     group.finish();
 }

@@ -30,10 +30,12 @@
 
 use std::time::Instant;
 
-use ifls_core::maxsum::EfficientMaxSum;
-use ifls_core::mindist::EfficientMinDist;
 use ifls_core::parallel::{BatchRunner, IflsQuery};
-use ifls_core::{EfficientConfig, EfficientIfls, QueryStats};
+use ifls_core::{
+    Budget, EfficientConfig, EfficientIfls, EfficientSolver, MaxSum, MinDist, MinMax,
+    ObjectivePolicy, QueryStats,
+};
+use ifls_indoor::PartitionId;
 use ifls_obs::{Counter, LatencyHistogram, Phase, SpanAgg};
 use ifls_venues::NamedVenue;
 use ifls_viptree::{DistCache, VipTree, VipTreeConfig};
@@ -179,6 +181,30 @@ fn accumulate(out: &mut StreamResult, stats: &QueryStats) {
     out.cache_warm_bytes = out.cache_warm_bytes.max(stats.cache_warm_bytes);
 }
 
+/// Answers `w` under the objective policy `P` through the stream's
+/// long-lived cache.
+fn replay<P: ObjectivePolicy>(
+    tree: &VipTree<'_>,
+    config: EfficientConfig,
+    w: &Workload,
+    cache: &mut DistCache<'_>,
+) -> P::Outcome {
+    EfficientSolver::<P>::with_config(tree, config).run_with_cache(
+        &w.clients,
+        &w.existing,
+        &w.candidates,
+        cache,
+        &Budget::unlimited(),
+    )
+}
+
+fn fingerprint(answer: Option<PartitionId>, objective_bits: u64) -> Fingerprint {
+    Fingerprint {
+        answer: answer.map(|p| p.raw()),
+        objective_bits,
+    }
+}
+
 /// Replays `rounds` passes over the query stream with one long-lived cache
 /// (or a disabled one), timing each query and fingerprinting the answers of
 /// the first round.
@@ -207,51 +233,22 @@ fn run_stream(
     for round in 0..rounds {
         for w in queries {
             let started = Instant::now();
-            let fp = match algorithm {
+            let (fp, stats) = match algorithm {
                 "efficient-minmax" => {
-                    let o = EfficientIfls::with_config(tree, config).run_with_cache(
-                        &w.clients,
-                        &w.existing,
-                        &w.candidates,
-                        &mut cache,
-                    );
-                    let fp = Fingerprint {
-                        answer: o.answer.map(|p| p.raw()),
-                        objective_bits: o.objective.to_bits(),
-                    };
-                    accumulate(&mut out, &o.stats);
-                    fp
+                    let o = replay::<MinMax>(tree, config, w, &mut cache);
+                    (fingerprint(o.answer, o.objective.to_bits()), o.stats)
                 }
                 "efficient-mindist" => {
-                    let o = EfficientMinDist::with_config(tree, config).run_with_cache(
-                        &w.clients,
-                        &w.existing,
-                        &w.candidates,
-                        &mut cache,
-                    );
-                    let fp = Fingerprint {
-                        answer: o.answer.map(|p| p.raw()),
-                        objective_bits: o.total.to_bits(),
-                    };
-                    accumulate(&mut out, &o.stats);
-                    fp
+                    let o = replay::<MinDist>(tree, config, w, &mut cache);
+                    (fingerprint(o.answer, o.total.to_bits()), o.stats)
                 }
                 "efficient-maxsum" => {
-                    let o = EfficientMaxSum::with_config(tree, config).run_with_cache(
-                        &w.clients,
-                        &w.existing,
-                        &w.candidates,
-                        &mut cache,
-                    );
-                    let fp = Fingerprint {
-                        answer: o.answer.map(|p| p.raw()),
-                        objective_bits: o.wins,
-                    };
-                    accumulate(&mut out, &o.stats);
-                    fp
+                    let o = replay::<MaxSum>(tree, config, w, &mut cache);
+                    (fingerprint(o.answer, o.wins), o.stats)
                 }
                 other => panic!("unknown algorithm {other}"),
             };
+            accumulate(&mut out, &stats);
             let elapsed = started.elapsed();
             out.times_ns.push(elapsed.as_nanos());
             out.latencies.record_ns(elapsed.as_nanos() as u64);
@@ -662,11 +659,9 @@ fn batch_smoke() -> i32 {
                     &q.existing,
                     &q.candidates,
                     &mut cache,
+                    &Budget::unlimited(),
                 );
-                Fingerprint {
-                    answer: o.answer.map(|p| p.raw()),
-                    objective_bits: o.objective.to_bits(),
-                }
+                fingerprint(o.answer, o.objective.to_bits())
             })
             .collect();
         (fps, started.elapsed().as_nanos())
@@ -675,12 +670,9 @@ fn batch_smoke() -> i32 {
     let batched = |queries: &[IflsQuery]| -> (Vec<Fingerprint>, u128) {
         let started = Instant::now();
         let fps = runner
-            .run_minmax(queries)
+            .run::<MinMax>(queries)
             .into_iter()
-            .map(|o| Fingerprint {
-                answer: o.answer.map(|p| p.raw()),
-                objective_bits: o.objective.to_bits(),
-            })
+            .map(|o| fingerprint(o.answer, o.objective.to_bits()))
             .collect();
         (fps, started.elapsed().as_nanos())
     };
@@ -701,7 +693,7 @@ fn batch_smoke() -> i32 {
     // Untimed traced round: surface how much the scheduler actually stole.
     ifls_obs::set_enabled(true);
     let _ = ifls_obs::take_local();
-    let _ = runner.run_minmax(&queries);
+    let _ = runner.run::<MinMax>(&queries);
     let steals = ifls_obs::take_local().counter(Counter::Steals);
     ifls_obs::set_enabled(false);
 
@@ -750,6 +742,7 @@ fn run_traced_stream(
             &w.existing,
             &w.candidates,
             &mut cache,
+            &Budget::unlimited(),
         );
         if let (Some(scope), Some(rec)) = (scope, recorder) {
             if let Some(mut t) = scope.finish() {
@@ -764,10 +757,7 @@ fn run_traced_stream(
             }
         }
         times.push(started.elapsed().as_nanos());
-        fingerprints.push(Fingerprint {
-            answer: o.answer.map(|p| p.raw()),
-            objective_bits: o.objective.to_bits(),
-        });
+        fingerprints.push(fingerprint(o.answer, o.objective.to_bits()));
     }
     (fingerprints, times)
 }

@@ -1,6 +1,6 @@
 //! Query instrumentation shared by all solvers.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ifls_obs::LatencyHistogram;
 
@@ -101,6 +101,15 @@ impl QueryStats {
         self.latencies.record_ns(elapsed.as_nanos() as u64);
     }
 
+    /// Stamps the wall clock since `start` ([`record_elapsed`]
+    /// (Self::record_elapsed)) and mirrors the finished query into the
+    /// observability registry ([`record_query_obs`](Self::record_query_obs)).
+    pub(crate) fn stamped(mut self, start: Instant) -> Self {
+        self.record_elapsed(start.elapsed());
+        self.record_query_obs();
+        self
+    }
+
     /// Mirrors the finished query into the observability registry (no-op
     /// while tracing is disabled): one `queries` tick, one
     /// `query_latency_ns` sample and the cache-footprint gauge.
@@ -124,7 +133,7 @@ impl QueryStats {
 /// Incrementally tracked structural memory: the solvers bump the current
 /// figure as structures grow or shrink and the peak is retained.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct MemoryMeter {
+pub struct MemoryMeter {
     current: isize,
     peak: isize,
 }

@@ -11,8 +11,8 @@ use std::time::Duration;
 use ifls_core::maxsum::{BruteForceMaxSum, EfficientMaxSum};
 use ifls_core::mindist::{BruteForceMinDist, EfficientMinDist};
 use ifls_core::{
-    BatchRunner, BruteForce, Budget, EfficientIfls, IflsQuery, ModifiedMinMax, ParallelSolver,
-    QueryStats,
+    BatchRunner, BruteForce, Budget, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax,
+    ModifiedMinMax, ParallelSolver, QueryStats,
 };
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_venues::GridVenueSpec;
@@ -136,17 +136,17 @@ fn parallel_budgeted_paths_are_bit_identical_at_every_thread_count() {
     for budget in inert_budgets() {
         for threads in THREAD_COUNTS {
             let par = ParallelSolver::with_threads(&tree, threads);
-            let g = par.try_run_minmax(c, e, n, &budget).unwrap();
+            let g = par.try_run::<MinMax>(c, e, n, &budget).unwrap();
             assert!(g.resolution.is_exact(), "t={threads}: minmax degraded");
             assert_eq!(g.answer, minmax.answer, "t={threads}");
             assert_eq!(g.objective.to_bits(), minmax.objective.to_bits());
 
-            let g = par.try_run_mindist(c, e, n, &budget).unwrap();
+            let g = par.try_run::<MinDist>(c, e, n, &budget).unwrap();
             assert!(g.resolution.is_exact(), "t={threads}: mindist degraded");
             assert_eq!(g.answer, mindist.answer, "t={threads}");
             assert_eq!(g.total.to_bits(), mindist.total.to_bits());
 
-            let g = par.try_run_maxsum(c, e, n, &budget).unwrap();
+            let g = par.try_run::<MaxSum>(c, e, n, &budget).unwrap();
             assert!(g.resolution.is_exact(), "t={threads}: maxsum degraded");
             assert_eq!(g.answer, maxsum.answer, "t={threads}");
             assert_eq!(g.wins, maxsum.wins);
@@ -180,14 +180,20 @@ fn batch_runner_budgeted_matches_serial_per_query() {
     let budget = Budget::unlimited().with_deadline(Duration::from_secs(3600));
     for threads in THREAD_COUNTS {
         let runner = BatchRunner::with_threads(&tree, threads);
-        let got = runner.try_run_minmax(&queries, &budget).unwrap();
+        let got = runner.try_run::<MinMax>(&queries, &budget).unwrap();
         assert_eq!(got.len(), serial.len());
         for (i, (g, s)) in got.iter().zip(&serial).enumerate() {
             assert!(g.resolution.is_exact(), "query {i} t={threads}");
             assert_eq!(g.answer, s.answer, "query {i} t={threads}");
             assert_eq!(g.objective.to_bits(), s.objective.to_bits());
         }
-        assert_eq!(runner.try_run_mindist(&queries, &budget).unwrap().len(), 6);
-        assert_eq!(runner.try_run_maxsum(&queries, &budget).unwrap().len(), 6);
+        assert_eq!(
+            runner.try_run::<MinDist>(&queries, &budget).unwrap().len(),
+            6
+        );
+        assert_eq!(
+            runner.try_run::<MaxSum>(&queries, &budget).unwrap().len(),
+            6
+        );
     }
 }

@@ -9,7 +9,10 @@
 
 use ifls_core::maxsum::EfficientMaxSum;
 use ifls_core::mindist::EfficientMinDist;
-use ifls_core::{BatchRunner, EfficientConfig, EfficientIfls, IflsQuery, ParallelSolver};
+use ifls_core::{
+    BatchRunner, Budget, EfficientConfig, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax,
+    ParallelSolver,
+};
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_rng::StdRng;
 use ifls_venues::RandomVenueSpec;
@@ -181,6 +184,7 @@ fn objectives_are_bit_identical_cache_on_and_off() {
                 &w.existing,
                 &w.candidates,
                 &mut minmax_cache,
+                &Budget::unlimited(),
             );
             for (mode, got) in [("fresh", &fresh), ("warm", &warm)] {
                 assert_eq!(got.answer, off.answer, "{label} minmax {mode}: answer");
@@ -206,6 +210,7 @@ fn objectives_are_bit_identical_cache_on_and_off() {
                 &w.existing,
                 &w.candidates,
                 &mut mindist_cache,
+                &Budget::unlimited(),
             );
             for (mode, got) in [("fresh", &fresh), ("warm", &warm)] {
                 assert_eq!(got.answer, off.answer, "{label} mindist {mode}: answer");
@@ -231,6 +236,7 @@ fn objectives_are_bit_identical_cache_on_and_off() {
                 &w.existing,
                 &w.candidates,
                 &mut maxsum_cache,
+                &Budget::unlimited(),
             );
             for (mode, got) in [("fresh", &fresh), ("warm", &warm)] {
                 assert_eq!(got.answer, off.answer, "{label} maxsum {mode}: answer");
@@ -268,21 +274,21 @@ fn parallel_solver_bit_identical_across_threads_and_cache_modes() {
             for dist_cache in [true, false] {
                 let label = format!("case {case_no} t={threads} cache={dist_cache}");
                 let par = ParallelSolver::with_threads(&tree, threads).config(config(dist_cache));
-                let p = par.run_minmax(&case.clients, &case.existing, &case.candidates);
+                let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
                 assert_eq!(p.answer, reference.answer, "{label}: minmax answer");
                 assert_eq!(
                     p.objective.to_bits(),
                     reference.objective.to_bits(),
                     "{label}: minmax objective bits"
                 );
-                let p = par.run_mindist(&case.clients, &case.existing, &case.candidates);
+                let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
                 assert_eq!(p.answer, ref_mindist.answer, "{label}: mindist answer");
                 assert_eq!(
                     p.total.to_bits(),
                     ref_mindist.total.to_bits(),
                     "{label}: mindist total bits"
                 );
-                let p = par.run_maxsum(&case.clients, &case.existing, &case.candidates);
+                let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
                 assert_eq!(p.answer, ref_maxsum.answer, "{label}: maxsum answer");
                 assert_eq!(p.wins, ref_maxsum.wins, "{label}: maxsum wins");
             }
@@ -344,13 +350,13 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
             .map(|&threads| {
                 let par = ParallelSolver::with_threads(&cold, threads).config(config(false));
                 [
-                    par.run_minmax(&case.clients, &case.existing, &case.candidates)
+                    par.run::<MinMax>(&case.clients, &case.existing, &case.candidates)
                         .stats
                         .dist_computations,
-                    par.run_mindist(&case.clients, &case.existing, &case.candidates)
+                    par.run::<MinDist>(&case.clients, &case.existing, &case.candidates)
                         .stats
                         .dist_computations,
-                    par.run_maxsum(&case.clients, &case.existing, &case.candidates)
+                    par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates)
                         .stats
                         .dist_computations,
                 ]
@@ -412,7 +418,7 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
                 for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
                     let tlabel = format!("{label} t={threads}");
                     let par = ParallelSolver::with_threads(tree, threads).config(cfg);
-                    let p = par.run_minmax(&case.clients, &case.existing, &case.candidates);
+                    let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
                     assert_eq!(p.answer, reference.answer, "{tlabel}: minmax answer");
                     assert_eq!(
                         p.objective.to_bits(),
@@ -423,13 +429,13 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
                         p.stats.dist_computations, par_baseline[ti][0],
                         "{tlabel}: minmax dist_computations"
                     );
-                    let p = par.run_mindist(&case.clients, &case.existing, &case.candidates);
+                    let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
                     assert_eq!(p.answer, ref_mindist.answer, "{tlabel}: mindist answer");
                     assert_eq!(
                         p.stats.dist_computations, par_baseline[ti][1],
                         "{tlabel}: mindist dist_computations"
                     );
-                    let p = par.run_maxsum(&case.clients, &case.existing, &case.candidates);
+                    let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
                     assert_eq!(p.answer, ref_maxsum.answer, "{tlabel}: maxsum answer");
                     assert_eq!(
                         p.stats.dist_computations, par_baseline[ti][2],
@@ -512,7 +518,7 @@ fn batch_runner_bit_identical_across_threads_and_cache_modes() {
     for threads in THREAD_COUNTS {
         for dist_cache in [true, false] {
             let runner = BatchRunner::with_threads(&tree, threads).config(config(dist_cache));
-            let got = runner.run_minmax(&queries);
+            let got = runner.run::<MinMax>(&queries);
             assert_eq!(got.len(), serial.len());
             for (i, (g, s)) in got.iter().zip(&serial).enumerate() {
                 assert_eq!(

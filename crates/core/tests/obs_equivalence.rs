@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use ifls_core::maxsum::EfficientMaxSum;
 use ifls_core::mindist::EfficientMinDist;
-use ifls_core::{BatchRunner, EfficientIfls, IflsQuery, ParallelSolver};
+use ifls_core::{BatchRunner, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax, ParallelSolver};
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_obs::{Counter, Phase};
 use ifls_rng::StdRng;
@@ -121,21 +121,21 @@ fn answers_bit_identical_obs_on_and_off() {
         for threads in THREAD_COUNTS {
             let label = format!("case {case_no} t={threads}");
             let par = ParallelSolver::with_threads(&tree, threads);
-            let p = par.run_minmax(&case.clients, &case.existing, &case.candidates);
+            let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
             assert_eq!(p.answer, off_minmax.answer, "{label}: minmax answer");
             assert_eq!(
                 p.objective.to_bits(),
                 off_minmax.objective.to_bits(),
                 "{label}: minmax objective bits"
             );
-            let p = par.run_mindist(&case.clients, &case.existing, &case.candidates);
+            let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
             assert_eq!(p.answer, off_mindist.answer, "{label}: mindist answer");
             assert_eq!(
                 p.total.to_bits(),
                 off_mindist.total.to_bits(),
                 "{label}: mindist total bits"
             );
-            let p = par.run_maxsum(&case.clients, &case.existing, &case.candidates);
+            let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
             assert_eq!(p.answer, off_maxsum.answer, "{label}: maxsum answer");
             assert_eq!(p.wins, off_maxsum.wins, "{label}: maxsum wins");
         }
@@ -172,13 +172,13 @@ fn batch_runner_bit_identical_and_sink_merged() {
         .collect();
 
     ifls_obs::set_enabled(false);
-    let reference = BatchRunner::with_threads(&tree, 1).run_minmax(&queries);
+    let reference = BatchRunner::with_threads(&tree, 1).run::<MinMax>(&queries);
 
     ifls_obs::set_enabled(true);
     let mut single_thread_sink = None;
     for threads in THREAD_COUNTS {
         let _ = ifls_obs::take_local();
-        let got = BatchRunner::with_threads(&tree, threads).run_minmax(&queries);
+        let got = BatchRunner::with_threads(&tree, threads).run::<MinMax>(&queries);
         let sink = ifls_obs::take_local();
         assert_eq!(got.len(), reference.len());
         for (i, (g, s)) in got.iter().zip(&reference).enumerate() {
@@ -241,9 +241,9 @@ fn metric_counts_deterministic_across_runs() {
     let collect = |threads: usize| {
         let _ = ifls_obs::take_local();
         let par = ParallelSolver::with_threads(&tree, threads);
-        par.run_minmax(&case.clients, &case.existing, &case.candidates);
-        par.run_mindist(&case.clients, &case.existing, &case.candidates);
-        par.run_maxsum(&case.clients, &case.existing, &case.candidates);
+        par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
+        par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
+        par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
         ifls_obs::take_local()
     };
     for threads in [1usize, 4] {

@@ -8,8 +8,8 @@
 use ifls_core::maxsum::{BruteForceMaxSum, EfficientMaxSum};
 use ifls_core::mindist::{BruteForceMinDist, EfficientMinDist};
 use ifls_core::{
-    evaluate_objective, BatchRunner, BruteForce, EfficientIfls, IflsQuery, ModifiedMinMax,
-    ParallelSolver,
+    evaluate_objective, BatchRunner, BruteForce, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax,
+    ModifiedMinMax, ParallelSolver,
 };
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_rng::StdRng;
@@ -65,7 +65,7 @@ fn assert_parallel_bit_identical(tree: &VipTree<'_>, case: &Case, label: &str) {
     let maxsum = EfficientMaxSum::new(tree).run(&case.clients, &case.existing, &case.candidates);
     for threads in THREAD_COUNTS {
         let par = ParallelSolver::with_threads(tree, threads);
-        let p = par.run_minmax(&case.clients, &case.existing, &case.candidates);
+        let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
         assert_eq!(p.answer, minmax.answer, "{label} minmax answer t={threads}");
         assert_eq!(
             p.objective.to_bits(),
@@ -74,7 +74,7 @@ fn assert_parallel_bit_identical(tree: &VipTree<'_>, case: &Case, label: &str) {
             p.objective,
             minmax.objective
         );
-        let p = par.run_mindist(&case.clients, &case.existing, &case.candidates);
+        let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
         assert_eq!(
             p.answer, mindist.answer,
             "{label} mindist answer t={threads}"
@@ -86,7 +86,7 @@ fn assert_parallel_bit_identical(tree: &VipTree<'_>, case: &Case, label: &str) {
             p.total,
             mindist.total
         );
-        let p = par.run_maxsum(&case.clients, &case.existing, &case.candidates);
+        let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
         assert_eq!(p.answer, maxsum.answer, "{label} maxsum answer t={threads}");
         assert_eq!(p.wins, maxsum.wins, "{label} maxsum wins t={threads}");
     }
@@ -201,7 +201,7 @@ fn parallel_is_deterministic_across_threads_and_repeats() {
         for threads in THREAD_COUNTS {
             let par = ParallelSolver::with_threads(&tree, threads);
             for run in 0..10 {
-                let got = par.run_minmax(&case.clients, &case.existing, &case.candidates);
+                let got = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
                 assert_eq!(
                     got.answer, reference.answer,
                     "case {case_no} t={threads} run {run}: answer"
@@ -242,7 +242,7 @@ fn batch_runner_matches_serial_per_query() {
         .collect();
     for threads in THREAD_COUNTS {
         let runner = BatchRunner::with_threads(&tree, threads);
-        let got = runner.run_minmax(&queries);
+        let got = runner.run::<MinMax>(&queries);
         assert_eq!(got.len(), serial.len());
         for (i, (g, s)) in got.iter().zip(&serial).enumerate() {
             assert_eq!(g.answer, s.answer, "query {i} t={threads}");
@@ -252,8 +252,8 @@ fn batch_runner_matches_serial_per_query() {
                 "query {i} t={threads}"
             );
         }
-        let d = runner.run_mindist(&queries);
-        let s = runner.run_maxsum(&queries);
+        let d = runner.run::<MinDist>(&queries);
+        let s = runner.run::<MaxSum>(&queries);
         assert_eq!(d.len(), queries.len());
         assert_eq!(s.len(), queries.len());
     }
@@ -305,7 +305,7 @@ fn parallel_tie_break_prefers_lowest_partition_id() {
         }
     }
     for threads in THREAD_COUNTS {
-        let p = ParallelSolver::with_threads(&tree, threads).run_minmax(
+        let p = ParallelSolver::with_threads(&tree, threads).run::<MinMax>(
             &w.clients,
             &w.existing,
             &candidates,

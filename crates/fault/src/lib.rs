@@ -35,7 +35,8 @@ use std::time::Duration;
 #[repr(usize)]
 pub enum FaultPoint {
     /// Allocation of a solver's scratch state at the start of a query
-    /// (`EfficientIfls::solve`). Firing here panics inside a worker shard.
+    /// (the search driver's setup in `EfficientSolver::search`, crossed by
+    /// every objective). Firing here panics inside a worker shard.
     ScratchAlloc = 0,
     /// Distance-cache insert on the miss path
     /// (`DistCache::door_dists`). Firing here panics mid-distance-kernel.
@@ -43,7 +44,7 @@ pub enum FaultPoint {
     /// Snapshot section read during `VipTree::from_snapshot_bytes`.
     /// Firing here surfaces as a typed `SnapshotError`, not a panic.
     SnapshotRead = 2,
-    /// Worker thread startup in `run_indexed_state`, before the worker
+    /// Worker thread startup in `try_run_indexed_state`, before the worker
     /// claims any item. Firing here kills the whole worker.
     WorkerStart = 3,
     /// Request read path in the serve daemon (`handle_connection`, before

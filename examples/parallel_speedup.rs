@@ -38,7 +38,7 @@ fn time_batch(
     let mut best: Option<(Duration, Vec<MinMaxOutcome>)> = None;
     for _ in 0..REPEATS {
         let t0 = Instant::now();
-        let out = runner.run_minmax(queries);
+        let out = runner.run::<MinMax>(queries);
         let dt = t0.elapsed();
         if best.as_ref().is_none_or(|(b, _)| dt < *b) {
             best = Some((dt, out));

@@ -57,8 +57,8 @@ pub use ifls_workloads as workloads;
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {
     pub use ifls_core::{
-        BatchRunner, BruteForce, EfficientConfig, EfficientIfls, IflsMonitor, IflsQuery,
-        MinMaxOutcome, ModifiedMinMax, ParallelSolver, QueryStats,
+        BatchRunner, BruteForce, EfficientConfig, EfficientIfls, IflsMonitor, IflsQuery, MaxSum,
+        MinDist, MinMax, MinMaxOutcome, ModifiedMinMax, ParallelSolver, QueryStats,
     };
     pub use ifls_indoor::{
         DoorId, GroundTruth, IndoorPoint, PartitionId, Point, Rect, Venue, VenueBuilder,
