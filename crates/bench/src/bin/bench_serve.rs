@@ -131,14 +131,13 @@ fn parse_args() -> Result<Config, String> {
     Ok(cfg)
 }
 
-/// One HTTP exchange over an established connection. Returns the status
-/// code, body, and the parsed `Retry-After` seconds when the daemon sent
-/// one, or an error string (the caller reconnects).
-fn exchange(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    body: &str,
-) -> Result<(u16, String, Option<u64>), String> {
+/// What one HTTP exchange yields: the status code, body, and the parsed
+/// `Retry-After` seconds when the daemon sent one, or an error string.
+type Exchange = Result<(u16, String, Option<u64>), String>;
+
+/// One HTTP exchange over an established connection (on error the caller
+/// reconnects).
+fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, body: &str) -> Exchange {
     let request = format!(
         "POST /query HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
         body.len(),
@@ -194,7 +193,7 @@ fn exchange(
 
 /// One-shot request on a fresh connection (used by the burst gate, where
 /// batched responses close the connection after the exchange anyway).
-fn exchange_once(addr: &str, body: &str) -> Result<(u16, String, Option<u64>), String> {
+fn exchange_once(addr: &str, body: &str) -> Exchange {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
     exchange(&mut stream, &mut reader, body)
@@ -266,7 +265,7 @@ fn burst(cfg: &Config) -> i32 {
     }
 
     // Burst round: the same seeds from C concurrent connections.
-    let results: Vec<Mutex<Option<Result<(u16, String, Option<u64>), String>>>> =
+    let results: Vec<Mutex<Option<Exchange>>> =
         (0..cfg.requests).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for t in 0..cfg.concurrency {

@@ -44,7 +44,7 @@ fn lengths() -> Vec<usize> {
 fn min_fold_matches_scalar_bitwise() {
     for len in lengths() {
         for seed in 0..8u64 {
-            let xs = seeded_column(0x5ca1a_0000 + seed, len);
+            let xs = seeded_column(0x5_ca1a_0000 + seed, len);
             assert_eq!(
                 kernels::min_fold(&xs).to_bits(),
                 kernels::min_fold_scalar(&xs).to_bits(),
@@ -58,7 +58,7 @@ fn min_fold_matches_scalar_bitwise() {
 fn max_fold_matches_scalar_bitwise() {
     for len in lengths() {
         for seed in 0..8u64 {
-            let xs = seeded_column(0x5ca1a_1000 + seed, len);
+            let xs = seeded_column(0x5_ca1a_1000 + seed, len);
             assert_eq!(
                 kernels::max_fold(&xs).to_bits(),
                 kernels::max_fold_scalar(&xs).to_bits(),
@@ -72,7 +72,7 @@ fn max_fold_matches_scalar_bitwise() {
 fn min_max_fold_matches_scalar_bitwise() {
     for len in lengths() {
         for seed in 0..8u64 {
-            let xs = seeded_column(0x5ca1a_2000 + seed, len);
+            let xs = seeded_column(0x5_ca1a_2000 + seed, len);
             let (lo, hi) = kernels::min_max_fold(&xs);
             let (slo, shi) = kernels::min_max_fold_scalar(&xs);
             assert_eq!(lo.to_bits(), slo.to_bits(), "min, len {len} seed {seed}");
@@ -85,8 +85,8 @@ fn min_max_fold_matches_scalar_bitwise() {
 fn min_add2_matches_scalar_bitwise() {
     for len in lengths() {
         for seed in 0..8u64 {
-            let a = seeded_column(0x5ca1a_3000 + seed, len);
-            let b = seeded_column(0x5ca1a_4000 + seed, len);
+            let a = seeded_column(0x5_ca1a_3000 + seed, len);
+            let b = seeded_column(0x5_ca1a_4000 + seed, len);
             assert_eq!(
                 kernels::min_add2(&a, &b).to_bits(),
                 kernels::min_add2_scalar(&a, &b).to_bits(),
@@ -112,7 +112,7 @@ fn all_three_objectives_agree_with_the_kernel_free_oracle() {
             .clients_uniform(12 + (seed as usize % 7) * 5)
             .existing_uniform(3)
             .candidates_uniform(6)
-            .seed(0x5ca1a_5000 + seed)
+            .seed(0x5_ca1a_5000 + seed)
             .build();
 
         let eff = EfficientIfls::new(&tree).run(&w.clients, &w.existing, &w.candidates);
@@ -156,7 +156,7 @@ fn dist_computations_are_reproducible_under_the_kernels() {
         .clients_uniform(25)
         .existing_uniform(3)
         .candidates_uniform(8)
-        .seed(0x5ca1a_6000)
+        .seed(0x5_ca1a_6000)
         .build();
     let first = EfficientIfls::new(&tree).run(&w.clients, &w.existing, &w.candidates);
     for _ in 0..3 {

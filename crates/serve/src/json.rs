@@ -16,26 +16,31 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, kept as `f64`.
+    /// An integer token (no fraction or exponent), kept exactly. Tokens
+    /// outside `i64::MIN..=u64::MAX` are refused by the parser.
+    Int(i128),
+    /// Any other JSON number, kept as `f64`.
     Num(f64),
     /// A string with escapes resolved.
     Str(String),
 }
 
 impl JsonValue {
-    /// The value as a non-negative integer, if it is one exactly.
+    /// The value as a non-negative integer, if it is an integer token in
+    /// `u64` range. A fraction or exponent (`1.0`, `1e3`) is not an
+    /// integer token: its `f64` value may already have been rounded.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Int(n) => u64::try_from(*n).ok(),
             _ => None,
         }
     }
 
-    /// The value as a finite float, if it is a number.
+    /// The value as a float, if it is a number (integers round to the
+    /// nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
@@ -150,7 +155,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<f64, String> {
+    /// A number token. Integer tokens are parsed exactly and must fit in
+    /// `i64::MIN..=u64::MAX`; any other token is parsed as `f64`.
+    fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
@@ -160,7 +167,19 @@ impl<'a> Parser<'a> {
             self.i += 1;
         }
         let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "bad number")?;
+        let digits = text.strip_prefix('-').unwrap_or(text);
+        if !digits.is_empty() && digits.bytes().all(|c| c.is_ascii_digit()) {
+            return match text.parse::<i128>() {
+                Ok(n) if (i64::MIN as i128..=u64::MAX as i128).contains(&n) => {
+                    Ok(JsonValue::Int(n))
+                }
+                _ => Err(format!(
+                    "integer `{text}` at offset {start} does not fit in 64 bits"
+                )),
+            };
+        }
         text.parse::<f64>()
+            .map(JsonValue::Num)
             .map_err(|_| format!("bad number `{text}` at offset {start}"))
     }
 
@@ -170,7 +189,7 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true").map(|_| JsonValue::Bool(true)),
             Some(b'f') => self.literal("false").map(|_| JsonValue::Bool(false)),
             Some(b'n') => self.literal("null").map(|_| JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(JsonValue::Num(self.number()?)),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(b'{') | Some(b'[') => {
                 Err(format!("nested values are not allowed (offset {})", self.i))
             }
@@ -229,7 +248,7 @@ mod tests {
     #[test]
     fn parses_flat_objects() {
         let m = parse_object(r#"{"a": 1, "b": "x\n", "c": true, "d": null, "e": -2.5}"#).unwrap();
-        assert_eq!(m["a"], JsonValue::Num(1.0));
+        assert_eq!(m["a"], JsonValue::Int(1));
         assert_eq!(m["b"], JsonValue::Str("x\n".into()));
         assert_eq!(m["c"], JsonValue::Bool(true));
         assert_eq!(m["d"], JsonValue::Null);
@@ -250,6 +269,7 @@ mod tests {
             "{\"a\":1} x",
             "{\"a\":1,\"a\":2}",
             "{\"a\":01e}",
+            "{\"a\":-}",
             "{'a':1}",
             "{\"a\":\"unterminated}",
         ] {
@@ -265,5 +285,36 @@ mod tests {
         assert_eq!(m["s"].as_str(), Some("x"));
         assert_eq!(m["b"].as_bool(), Some(false));
         assert_eq!(m["s"].as_u64(), None);
+    }
+
+    #[test]
+    fn integer_tokens_are_exact() {
+        // 2^53 + 1 has no f64 of its own; an f64 reading answers 2^53.
+        let m = parse_object(r#"{"seed": 9007199254740993}"#).unwrap();
+        assert_eq!(m["seed"].as_u64(), Some(9_007_199_254_740_993));
+        let m =
+            parse_object(r#"{"max": 18446744073709551615, "neg": -9223372036854775808}"#).unwrap();
+        assert_eq!(m["max"].as_u64(), Some(u64::MAX));
+        assert_eq!(m["neg"], JsonValue::Int(i64::MIN as i128));
+        assert_eq!(m["neg"].as_u64(), None);
+        assert_eq!(m["neg"].as_f64(), Some(i64::MIN as f64));
+        // A fraction or exponent makes a float token, never an integer.
+        let m = parse_object(r#"{"a": 1.0, "b": 1e3, "c": -0}"#).unwrap();
+        assert_eq!(m["a"].as_u64(), None);
+        assert_eq!(m["b"].as_u64(), None);
+        assert_eq!(m["b"].as_f64(), Some(1000.0));
+        assert_eq!(m["c"].as_u64(), Some(0));
+    }
+
+    #[test]
+    fn integers_beyond_64_bits_are_refused() {
+        for bad in [
+            r#"{"seed": 18446744073709551616}"#,
+            r#"{"seed": -9223372036854775809}"#,
+            r#"{"seed": 340282366920938463463374607431768211456}"#,
+        ] {
+            let e = parse_object(bad).expect_err(bad);
+            assert!(e.contains("does not fit in 64 bits"), "{bad}: {e}");
+        }
     }
 }

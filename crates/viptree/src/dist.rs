@@ -37,16 +37,34 @@ impl AccessDists<'_> {
             AccessDists::Gather { row, idx } => row[idx[i] as usize],
         }
     }
+
+    /// Folds this view element-wise into `w`: `w[j] = min(w[j], self[j])`.
+    #[inline]
+    fn min_into(&self, w: &mut [f64]) {
+        match self {
+            AccessDists::Dense(v) => w.iter_mut().zip(*v).for_each(|(m, &x)| *m = m.min(x)),
+            AccessDists::Gather { row, idx } => w
+                .iter_mut()
+                .zip(*idx)
+                .for_each(|(m, &k)| *m = m.min(row[k as usize])),
+        }
+    }
 }
 
 /// Reusable buffers for the IP-tree level-by-level climb (non-vivid
-/// trees). One set per thread: the tree itself stays free of interior
-/// mutability, so sharing it by `&` across threads remains sound.
+/// trees) and the per-group minima of `min_door_to_access`. One set per
+/// thread: the tree itself stays free of interior mutability, so sharing
+/// it by `&` across threads remains sound.
 #[derive(Default)]
 struct DistScratch {
     a: Vec<f64>,
     b: Vec<f64>,
     tmp: Vec<f64>,
+    /// One `(c2, offset into mins)` per LCA child met by the current call.
+    groups: Vec<(NodeId, usize)>,
+    /// Each group's element-wise minimum over `c2`'s access doors, back to
+    /// back.
+    mins: Vec<f64>,
 }
 
 thread_local! {
@@ -279,20 +297,21 @@ impl VipTree<'_> {
         if self.contains_partition(n, p) {
             return 0.0;
         }
-        let mut best = f64::INFINITY;
-        for &ds in self.venue.partition(p).doors() {
-            for a in self.nodes[n.index()].access_doors() {
-                let d = self.door_to_door(ds, a);
-                if d < best {
-                    best = d;
-                }
-            }
-        }
-        best
+        self.venue
+            .partition(p)
+            .doors()
+            .iter()
+            .map(|&ds| self.min_door_to_access(ds, n))
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// `iMinD` from a located point to a node: a lower bound on the
     /// distance from the point to any partition inside `N`.
+    ///
+    /// Unlike [`Self::min_dist_partition_to_node`], this still composes
+    /// every door pair. Only the kNN baseline ([`crate::IncrementalNn`])
+    /// calls it, and grouped it would make that baseline faster than the
+    /// efficient solver on a cold MC tree (DESIGN.md §5).
     pub fn min_dist_point_to_node(&self, a: &IndoorPoint, n: NodeId) -> f64 {
         if self.contains_partition(n, a.partition) {
             return 0.0;
@@ -311,6 +330,70 @@ impl VipTree<'_> {
             }
         }
         best
+    }
+
+    /// `min_a door_to_door(ds, a)` over the access doors `a` of `n`,
+    /// bit-identical to that per-pair minimum but composed once per LCA
+    /// child instead of once per pair.
+    ///
+    /// Targets homed in `ds`'s leaf read the leaf matrix, as
+    /// [`Self::door_to_door`] does. The others are grouped by `c2`, the
+    /// child of `LCA(leaf(ds), leaf(a))` that holds `a`: each target's
+    /// distances to `c2`'s access doors (its vivid row, or the IP-tree
+    /// climb) are folded element-wise into the group's min-vector `w`,
+    /// which is composed once at the LCA. Rounding to nearest never
+    /// decreases when an operand increases, so
+    /// `fl(fl(v1[x] + M[x, y]) + w[y])` equals
+    /// `min_a fl(fl(v1[x] + M[x, y]) + v_a[y])` exactly.
+    fn min_door_to_access(&self, ds: DoorId, n: NodeId) -> f64 {
+        let (l1, i1) = self.door_home[ds.index()];
+        let i1 = i1 as usize;
+        let leaf1 = self.mat(l1);
+        DIST_SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            s.groups.clear();
+            s.mins.clear();
+            let mut best = f64::INFINITY;
+            for a in self.nodes[n.index()].access_doors() {
+                let (l2, i2) = self.door_home[a.index()];
+                let i2 = i2 as usize;
+                if l2 == l1 {
+                    best = best.min(leaf1.dist(i1, i2));
+                    continue;
+                }
+                let c2 = self.ancestor_at_depth(l2, self.depth(self.lca(l1, l2)) + 1);
+                let off = match s.groups.iter().find(|&&(c, _)| c == c2) {
+                    Some(&(_, off)) => off,
+                    None => {
+                        let off = s.mins.len();
+                        s.mins
+                            .resize(off + self.num_access_doors(c2), f64::INFINITY);
+                        s.groups.push((c2, off));
+                        off
+                    }
+                };
+                let w = &mut s.mins[off..off + self.num_access_doors(c2)];
+                if self.config.vivid || c2 == l2 {
+                    self.access_dists(l2, i2, c2).min_into(w);
+                } else {
+                    self.climb_into(l2, i2, c2, &mut s.b, &mut s.tmp);
+                    AccessDists::Dense(&s.b).min_into(w);
+                }
+            }
+            for &(c2, off) in &s.groups {
+                let lca = self.parent(c2).expect("c2 is below the LCA");
+                let c1 = self.ancestor_at_depth(l1, self.depth(lca) + 1);
+                let w = AccessDists::Dense(&s.mins[off..off + self.num_access_doors(c2)]);
+                let d = if self.config.vivid || c1 == l1 {
+                    self.compose_at_lca(lca, c1, c2, &self.access_dists(l1, i1, c1), &w)
+                } else {
+                    self.climb_into(l1, i1, c1, &mut s.a, &mut s.tmp);
+                    self.compose_at_lca(lca, c1, c2, &AccessDists::Dense(&s.a), &w)
+                };
+                best = best.min(d);
+            }
+            best
+        })
     }
 }
 

@@ -160,7 +160,7 @@ mod tests {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
         // Non-negative, occasionally +inf — the tree's value domain.
-        if z % 97 == 0 {
+        if z.is_multiple_of(97) {
             f64::INFINITY
         } else {
             (z % 1_000_000) as f64 / 128.0

@@ -85,6 +85,56 @@ fn well_formed_queries_are_bit_identical_to_the_cli() {
 }
 
 #[test]
+fn integer_fields_are_read_exactly() {
+    let (server, idx) = start_with_snapshot("protocol-exact-ints.idx");
+    let addr = server.addr();
+    // 2^53 + 1 has no f64 of its own: a body read as f64 would name seed
+    // 2^53, a different workload.
+    let resp = post_query(
+        addr,
+        "{\"clients\":30,\"fe\":2,\"fn\":4,\"seed\":9007199254740993}",
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let cli = cli_stats_json(&[
+        "query",
+        "--venue",
+        VENUE_SPEC,
+        "--clients",
+        "30",
+        "--fe",
+        "2",
+        "--fn",
+        "4",
+        "--seed",
+        "9007199254740993",
+        "--stats-json",
+        "--index",
+        idx.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        answer_prefix(resp.body.trim_end()),
+        answer_prefix(&cli),
+        "daemon and CLI disagree on seed 2^53 + 1"
+    );
+    assert!(cli.contains("\"seed\":9007199254740993,"), "{cli}");
+    // 2^64 fits no integer field: a typed 400, not a saturated u64::MAX.
+    let resp = post_query(addr, "{\"seed\":18446744073709551616}");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(
+        resp.body.contains("\"schema\":\"ifls-serve-error/v1\""),
+        "{}",
+        resp.body
+    );
+    assert!(
+        resp.body.contains("does not fit in 64 bits"),
+        "{}",
+        resp.body
+    );
+    server.shutdown();
+    let _ = std::fs::remove_file(idx);
+}
+
+#[test]
 fn malformed_bodies_get_typed_400s_and_the_daemon_survives() {
     let venue = load_venue(VENUE_SPEC).unwrap();
     let server = Server::start(venue, test_opts()).unwrap();
