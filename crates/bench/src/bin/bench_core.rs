@@ -187,7 +187,7 @@ fn replay<P: ObjectivePolicy>(
     tree: &VipTree<'_>,
     config: EfficientConfig,
     w: &Workload,
-    cache: &mut DistCache<'_>,
+    cache: &mut DistCache,
 ) -> P::Outcome {
     EfficientSolver::<P>::with_config(tree, config).run_with_cache(
         &w.clients,
@@ -652,8 +652,7 @@ fn batch_smoke() -> i32 {
         let fps = queries
             .iter()
             .map(|q| {
-                let mut cache = DistCache::with_enabled(config.dist_cache)
-                    .admission_mode(config.cache_admission);
+                let mut cache = DistCache::with_enabled(config.dist_cache);
                 let o = EfficientIfls::with_config(&tree, config).run_with_cache(
                     &q.clients,
                     &q.existing,

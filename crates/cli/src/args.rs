@@ -36,8 +36,6 @@ query options:
   --seed N           RNG seed (default 0)
   --top K            report the top-K candidates (minmax/efficient only)
   --no-dist-cache    disable the distance-kernel memo cache (ablation)
-  --no-cache-admission  always admit into the cache's local tier instead of
-                     the adaptive hit-rate controller (ablation)
   --workload FILE    load the workload from a saved file instead of generating
   --save-workload FILE  write the generated workload for replay
   --trace            enable phase tracing; print the span/metric report
@@ -69,8 +67,6 @@ serve options:
                      is refused; with --strict the fallback itself is refused
                      and the daemon exits with a typed error
   --build-threads N  worker threads for an in-process index build
-  --no-cache-admission  default the per-query cache admission controller off
-                     for requests that do not name `cache_admission`
   --strict           refuse the --index-or-build rebuild fallback at startup
   --slo-ms N         SLO latency target for /query; /metrics then tracks
                      slo_requests_good/bad and the remaining error budget
@@ -200,9 +196,6 @@ pub struct ServeArgs {
     pub strict: bool,
     /// Worker threads for an in-process index build (0 = all cores).
     pub build_threads: usize,
-    /// Default for requests that do not name `cache_admission`
-    /// (`--no-cache-admission` clears it).
-    pub cache_admission: bool,
     /// SLO latency target for `/query` in milliseconds (`None` = no SLO
     /// accounting).
     pub slo_ms: Option<u64>,
@@ -231,7 +224,6 @@ impl Default for ServeArgs {
             index_or_build: false,
             strict: false,
             build_threads: 0,
-            cache_admission: true,
             slo_ms: None,
             recorder_capacity: 64,
             trace_dump: Some("ifls-trace-dump.jsonl".into()),
@@ -268,9 +260,6 @@ pub struct CommonArgs {
     /// Whether the efficient solvers memoize distance kernels
     /// (`--no-dist-cache` clears it for ablation runs).
     pub dist_cache: bool,
-    /// Whether the cache's adaptive admission controller may gate the
-    /// local tier (`--no-cache-admission` pins admission always-on).
-    pub cache_admission: bool,
     /// Load the workload from this file instead of generating it.
     pub workload_file: Option<String>,
     /// Save the (generated or loaded) workload to this file.
@@ -324,7 +313,6 @@ impl Default for CommonArgs {
             seed: 0,
             top: 1,
             dist_cache: true,
-            cache_admission: true,
             workload_file: None,
             save_workload: None,
             trace: false,
@@ -445,7 +433,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--seed" => a.seed = cur.parsed("--seed")?,
                     "--top" => a.top = cur.parsed("--top")?,
                     "--no-dist-cache" => a.dist_cache = false,
-                    "--no-cache-admission" => a.cache_admission = false,
                     "--workload" => a.workload_file = Some(cur.value("--workload")?.to_string()),
                     "--save-workload" => {
                         a.save_workload = Some(cur.value("--save-workload")?.to_string())
@@ -601,7 +588,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         a.index_or_build = true;
                     }
                     "--build-threads" => a.build_threads = cur.parsed("--build-threads")?,
-                    "--no-cache-admission" => a.cache_admission = false,
                     "--strict" => a.strict = true,
                     "--slo-ms" => a.slo_ms = Some(cur.parsed("--slo-ms")?),
                     "--recorder-capacity" => {
@@ -704,40 +690,26 @@ mod tests {
     #[test]
     fn parses_no_dist_cache_flag() {
         match parse(&v(&["query", "--venue", "grid:1x8", "--no-dist-cache"])).unwrap() {
-            Command::Query { args, .. } => {
-                assert!(!args.dist_cache);
-                assert!(args.cache_admission);
-            }
+            Command::Query { args, .. } => assert!(!args.dist_cache),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn parses_no_cache_admission_flag() {
-        match parse(&v(&[
-            "query",
-            "--venue",
-            "grid:1x8",
-            "--no-cache-admission",
-        ]))
-        .unwrap()
-        {
-            Command::Query { args, .. } => {
-                assert!(args.dist_cache);
-                assert!(!args.cache_admission);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&v(&[
-            "serve",
-            "--venue",
-            "grid:1x8",
-            "--no-cache-admission",
-        ]))
-        .unwrap()
-        {
-            Command::Serve { args, .. } => assert!(!args.cache_admission),
-            other => panic!("unexpected {other:?}"),
+    fn refuses_no_cache_admission_flag() {
+        // The cache's local tier admits every miss, so neither command
+        // has an admission switch to set.
+        for command in ["query", "serve"] {
+            assert_eq!(
+                parse(&v(&[
+                    command,
+                    "--venue",
+                    "grid:1x8",
+                    "--no-cache-admission"
+                ])),
+                Err(ParseError::UnknownOption("--no-cache-admission".into())),
+                "{command}"
+            );
         }
     }
 

@@ -7,7 +7,7 @@ use ifls_core::api::{self, Algorithm, Objective, QuerySummary, SolveSpec, Worklo
 use ifls_core::{Budget, EfficientConfig, EfficientIfls, QueryStats, Resolution, WorkerPanic};
 use ifls_indoor::{PartitionId, Venue};
 use ifls_venues::{GridVenueSpec, McCategory, NamedVenue};
-use ifls_viptree::{CacheAdmission, SnapshotInfo, VipTree, VipTreeConfig};
+use ifls_viptree::{SnapshotInfo, VipTree, VipTreeConfig};
 use ifls_workloads::{real_setting_facilities, Workload, WorkloadBuilder};
 
 use crate::args::{Command, CommonArgs, MetricsFormat};
@@ -440,11 +440,6 @@ pub fn execute(cmd: &Command) -> Result<String, CommandError> {
             }
             let config = EfficientConfig {
                 dist_cache: args.dist_cache,
-                cache_admission: if args.cache_admission {
-                    CacheAdmission::Adaptive
-                } else {
-                    CacheAdmission::AlwaysOn
-                },
                 ..EfficientConfig::default()
             };
             let objective = Objective::parse(&args.objective)
@@ -456,7 +451,6 @@ pub fn execute(cmd: &Command) -> Result<String, CommandError> {
                 algorithm,
                 threads: args.threads,
                 dist_cache: args.dist_cache,
-                cache_admission: args.cache_admission,
             };
             let algo_label = match algorithm {
                 Algorithm::Parallel => {
@@ -685,7 +679,6 @@ pub fn execute(cmd: &Command) -> Result<String, CommandError> {
                 index_or_build: args.index_or_build,
                 strict: args.strict,
                 build_threads: args.build_threads,
-                default_cache_admission: args.cache_admission,
                 slo_ms: args.slo_ms,
                 recorder_capacity: args.recorder_capacity,
                 trace_dump: args.trace_dump.as_ref().map(std::path::PathBuf::from),

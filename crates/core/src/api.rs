@@ -119,9 +119,6 @@ pub struct SolveSpec {
     pub threads: usize,
     /// Whether the efficient solvers memoize distance kernels.
     pub dist_cache: bool,
-    /// Whether the cache's local tier uses adaptive admission (`false` =
-    /// the `--no-cache-admission` ablation: always insert).
-    pub cache_admission: bool,
 }
 
 impl Default for SolveSpec {
@@ -131,7 +128,6 @@ impl Default for SolveSpec {
             algorithm: Algorithm::Efficient,
             threads: 0,
             dist_cache: true,
-            cache_admission: true,
         }
     }
 }
@@ -157,11 +153,6 @@ pub struct QuerySummary {
 fn config_of(spec: &SolveSpec) -> EfficientConfig {
     EfficientConfig {
         dist_cache: spec.dist_cache,
-        cache_admission: if spec.cache_admission {
-            ifls_viptree::CacheAdmission::Adaptive
-        } else {
-            ifls_viptree::CacheAdmission::AlwaysOn
-        },
         ..EfficientConfig::default()
     }
 }
@@ -528,7 +519,6 @@ mod tests {
                     algorithm,
                     threads: 2,
                     dist_cache: true,
-                    cache_admission: true,
                 };
                 let r = solve(
                     &tree,

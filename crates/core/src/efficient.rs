@@ -504,7 +504,6 @@ mod tests {
                             group_clients: g,
                             prune_clients: p,
                             dist_cache: cache,
-                            ..EfficientConfig::default()
                         },
                     );
                 }
@@ -699,7 +698,6 @@ mod tests {
             group_clients: group,
             prune_clients: false,
             dist_cache: false,
-            ..EfficientConfig::default()
         };
         let grouped =
             EfficientIfls::with_config(&tree, cfg(true)).run(&clients, &existing, &candidates);

@@ -219,6 +219,7 @@ impl<'t, 'v> Explorer<'t, 'v> {
     }
 
     /// Pops the globally closest pending entry.
+    #[inline]
     pub fn pop(&mut self, meter: &mut MemoryMeter) -> Option<QEntry> {
         let e = self.queue.pop()?;
         meter.add(-Q_ENTRY_BYTES);
@@ -232,7 +233,7 @@ impl<'t, 'v> Explorer<'t, 'v> {
         &mut self,
         source: PartitionId,
         entity: Entity,
-        cache: &mut DistCache<'_>,
+        cache: &mut DistCache,
         meter: &mut MemoryMeter,
     ) {
         match entity {
@@ -268,7 +269,7 @@ impl<'t, 'v> Explorer<'t, 'v> {
         &mut self,
         source: PartitionId,
         entity: Entity,
-        cache: &mut DistCache<'_>,
+        cache: &mut DistCache,
         meter: &mut MemoryMeter,
     ) {
         if !self.visited.insert((source, entity)) {
@@ -346,7 +347,7 @@ pub(crate) fn retrieval_dists(
     source: PartitionId,
     part: PartitionId,
     group: bool,
-    cache: &mut DistCache<'_>,
+    cache: &mut DistCache,
     dist_computations: &mut u64,
     point_via_lookups: &mut u64,
 ) -> Vec<(u32, f64)> {

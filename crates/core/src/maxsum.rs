@@ -462,7 +462,6 @@ mod tests {
                         group_clients: g,
                         prune_clients: p,
                         dist_cache: dc,
-                        ..EfficientConfig::default()
                     },
                 )
                 .run(&w.clients, &w.existing, &w.candidates);

@@ -81,7 +81,7 @@ pub struct IflsMonitor<'t, 'v> {
     /// Door-distance memo per (client partition, facility), lazily filled —
     /// the §5 grouping idea carried over to monitoring, served by the same
     /// [`DistCache`] kernel the batch solvers use.
-    cache: DistCache<'static>,
+    cache: DistCache,
     clients: HashMap<ClientId, ClientEntry>,
     next_id: u64,
     /// Per-candidate contribution multisets.
@@ -218,7 +218,7 @@ impl<'t, 'v> IflsMonitor<'t, 'v> {
             .iter()
             .map(|c| c.values.len() * (8 + 4 + 32))
             .sum();
-        let cache = self.cache.approx_bytes();
+        let cache = self.cache.stats().bytes;
         self.clients.len() * per_client + multisets + cache + self.order.len() * 12
     }
 }

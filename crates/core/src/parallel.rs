@@ -80,8 +80,7 @@ use std::thread;
 use std::time::Instant;
 
 use ifls_indoor::{IndoorPoint, PartitionId};
-use ifls_viptree::cache::DEFAULT_CACHE_ENTRIES;
-use ifls_viptree::{CacheAdmission, DistCache, SharedDistCache, VipTree};
+use ifls_viptree::VipTree;
 
 use crate::budget::{Budget, Resolution};
 use crate::explore::ClientLegs;
@@ -198,7 +197,7 @@ fn next_item(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 ///
 /// Every worker owns a mutable state built once by `init` and threaded
 /// through all the items it claims — the hook that lets batch workers keep
-/// a persistent [`DistCache`] across queries.
+/// a persistent [`DistCache`](ifls_viptree::DistCache) across queries.
 /// Which worker answers which query is scheduling-dependent, but cache
 /// contents can never change an answer (every entry is a pure function of
 /// the tree), so results stay deterministic.
@@ -398,45 +397,6 @@ impl<'t, 'v> ParallelSolver<'t, 'v> {
         self.threads
     }
 
-    /// Precomputes the immutable cache tier every shard will consult:
-    /// door-distance vectors from each distinct client partition to each
-    /// facility (existing ∪ candidates). Built before workers spawn and
-    /// shared by reference, so it adds no synchronization and — being a
-    /// pure function of the tree — cannot perturb answers. `None` when the
-    /// cache is disabled for ablation.
-    fn shared_tier(
-        &self,
-        clients: &[IndoorPoint],
-        existing: &[PartitionId],
-        candidates: &[PartitionId],
-    ) -> Option<SharedDistCache> {
-        if !self.config.dist_cache {
-            return None;
-        }
-        let mut sources: Vec<PartitionId> = clients.iter().map(|c| c.partition).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let mut targets: Vec<PartitionId> = existing.iter().chain(candidates).copied().collect();
-        targets.sort_unstable();
-        targets.dedup();
-        Some(SharedDistCache::build(
-            self.tree,
-            sources
-                .iter()
-                .flat_map(|&p| targets.iter().map(move |&q| (p, q))),
-        ))
-    }
-
-    /// A per-shard overflow cache layered over the shared tier (or a
-    /// pass-through when the cache is ablated away).
-    fn worker_cache<'s>(&self, shared: Option<&'s SharedDistCache>) -> DistCache<'s> {
-        match shared {
-            Some(s) => DistCache::with_shared(DEFAULT_CACHE_ENTRIES, s),
-            None => DistCache::with_enabled(self.config.dist_cache),
-        }
-        .admission_mode(self.config.cache_admission)
-    }
-
     /// Answers the query under the objective policy `P`
     /// (`solver.run::<MinMax>(…)` for the paper's IFLS objective).
     pub fn run<P: ObjectivePolicy>(
@@ -467,7 +427,6 @@ impl<'t, 'v> ParallelSolver<'t, 'v> {
         if ranges.len() <= 1 || clients.is_empty() {
             return Ok(solver.run_budgeted(clients, existing, candidates, budget));
         }
-        let shared = self.shared_tier(clients, existing, candidates);
         // Per-client door legs are identical across shards (pure geometry,
         // independent of the candidate shard), so build them once and
         // share read-only. Each shard still charges the legs bytes to its
@@ -479,7 +438,7 @@ impl<'t, 'v> ParallelSolver<'t, 'v> {
             ranges.len(),
             || (),
             |(), i| {
-                let mut cache = self.worker_cache(shared.as_ref());
+                let mut cache = self.config.fresh_cache();
                 // Each shard polls its own clone: fresh checkpoint counter,
                 // shared cancel token — so deterministic trips behave the
                 // same on a worker and on the coordinator's retry path.
@@ -493,8 +452,6 @@ impl<'t, 'v> ParallelSolver<'t, 'v> {
         for (_, _, _, shard_stats) in &partials {
             stats.merge(shard_stats);
         }
-        // Workers report local-tier bytes only; count the shared tier once.
-        stats.cache_bytes += shared.as_ref().map_or(0, SharedDistCache::approx_bytes);
         stats.elapsed = start.elapsed();
         Ok(P::from_parts(merge_shards::<P>(&partials, stats)))
     }
@@ -637,27 +594,11 @@ impl<'t, 'v> BatchRunner<'t, 'v> {
         self.threads
     }
 
-    /// The admission mode for the persistent per-worker caches. A batch
-    /// declares cross-query reuse upfront, so the *adaptive* heuristic —
-    /// built to stop one-shot serving queries from paying insert costs on
-    /// streams that never reuse — is resolved to always-admit: on a cold
-    /// tree its sampling window sees the first query's near-zero hit rate
-    /// and shuts insertion off exactly when the next query in the batch
-    /// is about to reuse those entries. Explicit `AlwaysOn`/`AlwaysOff`
-    /// configs (ablations) are honored unchanged; cached values are pure
-    /// functions of the tree, so admission policy cannot change answers.
-    fn worker_admission(&self) -> CacheAdmission {
-        match self.config.cache_admission {
-            CacheAdmission::Adaptive => CacheAdmission::AlwaysOn,
-            explicit => explicit,
-        }
-    }
-
     /// Answers every query under the objective policy `P`, results in
-    /// input order. Each worker keeps one [`DistCache`] alive across all
-    /// the queries it claims, so door-distance vectors memoized for one
-    /// query serve the next — the cross-query reuse the serving shape is
-    /// built for.
+    /// input order. Each worker keeps one
+    /// [`DistCache`](ifls_viptree::DistCache) alive across all the queries
+    /// it claims, so door-distance vectors memoized for one query serve the
+    /// next — the cross-query reuse the serving shape is built for.
     pub fn run<P: ObjectivePolicy>(&self, queries: &[IflsQuery]) -> Vec<P::Outcome> {
         match self.try_run::<P>(queries, &Budget::unlimited()) {
             Ok(out) => out,
@@ -674,10 +615,6 @@ impl<'t, 'v> BatchRunner<'t, 'v> {
         budget: &Budget,
     ) -> Result<Vec<P::Outcome>, WorkerPanic> {
         let solver = EfficientSolver::<P>::with_config(self.tree, self.config);
-        let worker_config = EfficientConfig {
-            cache_admission: self.worker_admission(),
-            ..self.config
-        };
         // One legs table per *distinct* client set (see [`legs_pool`]):
         // micro-batches typically carry many queries against one client
         // population, so this collapses the batch's leg construction to a
@@ -686,7 +623,7 @@ impl<'t, 'v> BatchRunner<'t, 'v> {
         try_run_indexed_state(
             self.threads,
             queries.len(),
-            || worker_config.fresh_cache(),
+            || self.config.fresh_cache(),
             |cache, i| {
                 let q = &queries[i];
                 let query_budget = budget.clone();

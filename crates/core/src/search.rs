@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use ifls_indoor::{IndoorPoint, PartitionId};
 use ifls_obs::Phase;
-use ifls_viptree::{CacheAdmission, DistCache, FacilityIndex, VipTree};
+use ifls_viptree::{DistCache, FacilityIndex, VipTree};
 
 use crate::api::{Algorithm, Objective};
 use crate::budget::{Budget, BudgetReason, Resolution};
@@ -61,10 +61,6 @@ pub struct EfficientConfig {
     /// [`DistCache`] (off = the `--no-dist-cache` ablation; answers are
     /// bit-identical either way).
     pub dist_cache: bool,
-    /// Admission policy of the cache's local tier
-    /// (`AlwaysOn` = the `--no-cache-admission` ablation; answers are
-    /// bit-identical under every policy).
-    pub cache_admission: CacheAdmission,
 }
 
 impl Default for EfficientConfig {
@@ -73,16 +69,14 @@ impl Default for EfficientConfig {
             group_clients: true,
             prune_clients: true,
             dist_cache: true,
-            cache_admission: CacheAdmission::Adaptive,
         }
     }
 }
 
 impl EfficientConfig {
-    /// A fresh per-query distance cache honoring `dist_cache` and
-    /// `cache_admission`.
-    pub(crate) fn fresh_cache<'s>(&self) -> DistCache<'s> {
-        DistCache::with_enabled(self.dist_cache).admission_mode(self.cache_admission)
+    /// A fresh per-query distance cache honoring `dist_cache`.
+    pub(crate) fn fresh_cache(&self) -> DistCache {
+        DistCache::with_enabled(self.dist_cache)
     }
 }
 
@@ -296,7 +290,7 @@ impl<'t, 'v, P: ObjectivePolicy> EfficientSolver<'t, 'v, P> {
         clients: &[IndoorPoint],
         existing: &[PartitionId],
         candidates: &[PartitionId],
-        cache: &mut DistCache<'_>,
+        cache: &mut DistCache,
         budget: &Budget,
     ) -> P::Outcome {
         let q = Query::new(self.tree, clients, existing, candidates);
@@ -312,7 +306,7 @@ impl<'t, 'v, P: ObjectivePolicy> EfficientSolver<'t, 'v, P> {
     pub(crate) fn solve(
         &self,
         q: &Query<'_>,
-        cache: &mut DistCache<'_>,
+        cache: &mut DistCache,
         budget: &Budget,
         legs: Option<&ClientLegs>,
     ) -> P::Outcome {
@@ -338,7 +332,7 @@ impl<'t, 'v, P: ObjectivePolicy> EfficientSolver<'t, 'v, P> {
         &self,
         q: &Query<'_>,
         target: usize,
-        cache: &mut DistCache<'_>,
+        cache: &mut DistCache,
         budget: &Budget,
         shared_legs: Option<&ClientLegs>,
         start: Instant,

@@ -35,7 +35,7 @@ pub struct QueryStats {
     /// Distance-cache lookups that computed and inserted.
     pub cache_misses: u64,
     /// Approximate distance-cache footprint at the end of the query
-    /// (shared + local tiers), in bytes.
+    /// (the local tables; the warm tier is `cache_warm_bytes`), in bytes.
     pub cache_bytes: usize,
     /// Bytes of the tree's snapshot-shipped warm tier, when one is
     /// attached (reported apart from `cache_bytes`: the warm tier is a
@@ -81,8 +81,7 @@ impl QueryStats {
         self.clients_pruned += other.clients_pruned;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        // Workers report local-tier bytes only (the shared tier is counted
-        // once by the coordinator), so a plain sum stays honest.
+        // Each worker owns its local table, so the footprints add up.
         self.cache_bytes += other.cache_bytes;
         // One warm tier serves every worker; keep the one recorded figure.
         self.cache_warm_bytes = self.cache_warm_bytes.max(other.cache_warm_bytes);

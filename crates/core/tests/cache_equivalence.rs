@@ -11,14 +11,12 @@ use ifls_core::maxsum::EfficientMaxSum;
 use ifls_core::mindist::EfficientMinDist;
 use ifls_core::{
     BatchRunner, Budget, EfficientConfig, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax,
-    ParallelSolver,
+    ParallelSolver, QueryStats,
 };
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_rng::StdRng;
 use ifls_venues::RandomVenueSpec;
-use ifls_viptree::{
-    CacheAdmission, DistCache, SharedDistCache, VipTree, VipTreeConfig, DEFAULT_WARM_BUDGET_BYTES,
-};
+use ifls_viptree::{DistCache, VipTree, VipTreeConfig, DEFAULT_WARM_BUDGET_BYTES};
 use ifls_workloads::WorkloadBuilder;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -69,8 +67,7 @@ fn config(dist_cache: bool) -> EfficientConfig {
 }
 
 /// Every kernel the cache memoizes must return the exact bits the tree
-/// would — on first fill (miss), on re-serve (hit), and through a
-/// prebuilt shared tier.
+/// would — on first fill (miss) and on re-serve (hit).
 #[test]
 fn cached_distances_are_bit_identical_to_tree_kernels() {
     let mut rng = StdRng::seed_from_u64(0xcac4_e001);
@@ -87,47 +84,41 @@ fn cached_distances_are_bit_identical_to_tree_kernels() {
             })
             .collect();
 
-        let shared = SharedDistCache::build(&tree, pairs.iter().copied());
         let mut local = DistCache::new(1 << 12);
-        let mut tiered = DistCache::with_shared(1 << 12, &shared);
         // Two passes: the first fills (miss path), the second re-serves
         // (hit path). Both must match the uncached kernel bit for bit.
         for pass in 0..2 {
             for &(p, q) in &pairs {
                 let want = tree.door_dists_to_partition(p, q);
-                for (label, cache) in [("local", &mut local), ("tiered", &mut tiered)] {
-                    let got = cache.door_dists(&tree, p, q);
+                let got = local.door_dists(&tree, p, q);
+                assert_eq!(
+                    got.len(),
+                    want.len(),
+                    "case {case_no} pass {pass} local: vector length ({p}, {q})"
+                );
+                for (g, w) in got.iter().zip(&want) {
                     assert_eq!(
-                        got.len(),
-                        want.len(),
-                        "case {case_no} pass {pass} {label}: vector length ({p}, {q})"
-                    );
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "case {case_no} pass {pass} {label}: door dist bits ({p}, {q})"
-                        );
-                    }
-                    let got_min = cache.min_dist_partition_to_partition(&tree, p, q);
-                    assert_eq!(
-                        got_min.to_bits(),
-                        tree.min_dist_partition_to_partition(p, q).to_bits(),
-                        "case {case_no} pass {pass} {label}: min dist bits ({p}, {q})"
+                        g.to_bits(),
+                        w.to_bits(),
+                        "case {case_no} pass {pass} local: door dist bits ({p}, {q})"
                     );
                 }
+                let got_min = local.min_dist_partition_to_partition(&tree, p, q);
+                assert_eq!(
+                    got_min.to_bits(),
+                    tree.min_dist_partition_to_partition(p, q).to_bits(),
+                    "case {case_no} pass {pass} local: min dist bits ({p}, {q})"
+                );
             }
             for c in &case.clients {
                 for &f in case.candidates.iter().chain(&case.existing) {
                     let want = tree.dist_point_to_partition(c, f);
-                    for cache in [&mut local, &mut tiered] {
-                        let got = cache.dist_point_to_partition(&tree, c, f);
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "case {case_no} pass {pass}: point dist bits to {f}"
-                        );
-                    }
+                    let got = local.dist_point_to_partition(&tree, c, f);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "case {case_no} pass {pass}: point dist bits to {f}"
+                    );
                 }
             }
         }
@@ -246,9 +237,8 @@ fn objectives_are_bit_identical_cache_on_and_off() {
     }
 }
 
-/// The parallel engine (shared tier + per-worker overflow caches) stays bit
-/// identical to the uncached serial solver at every thread count, with the
-/// cache on or off.
+/// The parallel engine (one cache per shard) stays bit identical to the
+/// uncached serial solver at every thread count, with the cache on or off.
 #[test]
 fn parallel_solver_bit_identical_across_threads_and_cache_modes() {
     let mut rng = StdRng::seed_from_u64(0xcac4_e003);
@@ -305,18 +295,14 @@ fn with_warm_tier(venue: &Venue) -> VipTree<'_> {
     tree
 }
 
-/// Every admission mode (adaptive, always-on, always-off) crossed with
-/// warm-tier presence returns bit-identical answers AND an identical
+/// Cold and warm trees return bit-identical answers AND an identical
 /// `dist_computations` count, serially and at 1/2/4/8 threads.
 /// `dist_computations` tallies logical kernel evaluations at the call
 /// site, *before* the cache is consulted, so no cache state may change it.
+/// On the warm tree every parallel shard is answered by the warm tier
+/// alone: no miss, and no local-table bytes.
 #[test]
 fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
-    const MODES: [CacheAdmission; 3] = [
-        CacheAdmission::Adaptive,
-        CacheAdmission::AlwaysOn,
-        CacheAdmission::AlwaysOff,
-    ];
     let mut rng = StdRng::seed_from_u64(0xcac4_e005);
     for case_no in 0..3 {
         let case = random_case(&mut rng);
@@ -343,8 +329,8 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
         // The parallel engine partitions candidates across workers, which
         // changes the pruning bounds each worker sees — its logical kernel
         // count legitimately differs from the serial solver's. So the
-        // work-invariance claim is pinned per execution shape: every cache
-        // mode must match a cache-off run *at the same thread count*.
+        // work-invariance claim is pinned per execution shape: every tree
+        // must match a cache-off run *at the same thread count*.
         let par_baseline: Vec<[u64; 3]> = THREAD_COUNTS
             .iter()
             .map(|&threads| {
@@ -364,84 +350,90 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
             .collect();
 
         for (tree_label, tree) in [("cold", &cold), ("warm", &warm)] {
-            for admission in MODES {
-                let cfg = EfficientConfig {
-                    cache_admission: admission,
-                    ..EfficientConfig::default()
+            let cfg = EfficientConfig::default();
+            let label = format!("case {case_no} {tree_label}");
+
+            let got = EfficientIfls::with_config(tree, cfg).run(
+                &case.clients,
+                &case.existing,
+                &case.candidates,
+            );
+            assert_eq!(got.answer, reference.answer, "{label}: minmax answer");
+            assert_eq!(
+                got.objective.to_bits(),
+                reference.objective.to_bits(),
+                "{label}: minmax objective bits"
+            );
+            assert_eq!(
+                got.stats.dist_computations, reference.stats.dist_computations,
+                "{label}: minmax dist_computations"
+            );
+
+            let got = EfficientMinDist::with_config(tree, cfg).run(
+                &case.clients,
+                &case.existing,
+                &case.candidates,
+            );
+            assert_eq!(got.answer, ref_mindist.answer, "{label}: mindist answer");
+            assert_eq!(
+                got.total.to_bits(),
+                ref_mindist.total.to_bits(),
+                "{label}: mindist total bits"
+            );
+            assert_eq!(
+                got.stats.dist_computations, ref_mindist.stats.dist_computations,
+                "{label}: mindist dist_computations"
+            );
+
+            let got = EfficientMaxSum::with_config(tree, cfg).run(
+                &case.clients,
+                &case.existing,
+                &case.candidates,
+            );
+            assert_eq!(got.answer, ref_maxsum.answer, "{label}: maxsum answer");
+            assert_eq!(got.wins, ref_maxsum.wins, "{label}: maxsum wins");
+            assert_eq!(
+                got.stats.dist_computations, ref_maxsum.stats.dist_computations,
+                "{label}: maxsum dist_computations"
+            );
+
+            for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
+                let tlabel = format!("{label} t={threads}");
+                // On the warm tree no shard precomputes or computes a
+                // distance vector, so no shard fills a local table.
+                let warm_only = |stats: &QueryStats, objective: &str| {
+                    if tree_label == "warm" {
+                        assert_eq!(stats.cache_misses, 0, "{tlabel}: {objective} cache_misses");
+                        assert_eq!(stats.cache_bytes, 0, "{tlabel}: {objective} cache_bytes");
+                    }
                 };
-                let label = format!("case {case_no} {tree_label} {admission:?}");
-
-                let got = EfficientIfls::with_config(tree, cfg).run(
-                    &case.clients,
-                    &case.existing,
-                    &case.candidates,
-                );
-                assert_eq!(got.answer, reference.answer, "{label}: minmax answer");
+                let par = ParallelSolver::with_threads(tree, threads).config(cfg);
+                let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
+                assert_eq!(p.answer, reference.answer, "{tlabel}: minmax answer");
                 assert_eq!(
-                    got.objective.to_bits(),
+                    p.objective.to_bits(),
                     reference.objective.to_bits(),
-                    "{label}: minmax objective bits"
+                    "{tlabel}: minmax objective bits"
                 );
                 assert_eq!(
-                    got.stats.dist_computations, reference.stats.dist_computations,
-                    "{label}: minmax dist_computations"
+                    p.stats.dist_computations, par_baseline[ti][0],
+                    "{tlabel}: minmax dist_computations"
                 );
-
-                let got = EfficientMinDist::with_config(tree, cfg).run(
-                    &case.clients,
-                    &case.existing,
-                    &case.candidates,
-                );
-                assert_eq!(got.answer, ref_mindist.answer, "{label}: mindist answer");
+                warm_only(&p.stats, "minmax");
+                let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
+                assert_eq!(p.answer, ref_mindist.answer, "{tlabel}: mindist answer");
                 assert_eq!(
-                    got.total.to_bits(),
-                    ref_mindist.total.to_bits(),
-                    "{label}: mindist total bits"
+                    p.stats.dist_computations, par_baseline[ti][1],
+                    "{tlabel}: mindist dist_computations"
                 );
+                warm_only(&p.stats, "mindist");
+                let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
+                assert_eq!(p.answer, ref_maxsum.answer, "{tlabel}: maxsum answer");
                 assert_eq!(
-                    got.stats.dist_computations, ref_mindist.stats.dist_computations,
-                    "{label}: mindist dist_computations"
+                    p.stats.dist_computations, par_baseline[ti][2],
+                    "{tlabel}: maxsum dist_computations"
                 );
-
-                let got = EfficientMaxSum::with_config(tree, cfg).run(
-                    &case.clients,
-                    &case.existing,
-                    &case.candidates,
-                );
-                assert_eq!(got.answer, ref_maxsum.answer, "{label}: maxsum answer");
-                assert_eq!(got.wins, ref_maxsum.wins, "{label}: maxsum wins");
-                assert_eq!(
-                    got.stats.dist_computations, ref_maxsum.stats.dist_computations,
-                    "{label}: maxsum dist_computations"
-                );
-
-                for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
-                    let tlabel = format!("{label} t={threads}");
-                    let par = ParallelSolver::with_threads(tree, threads).config(cfg);
-                    let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
-                    assert_eq!(p.answer, reference.answer, "{tlabel}: minmax answer");
-                    assert_eq!(
-                        p.objective.to_bits(),
-                        reference.objective.to_bits(),
-                        "{tlabel}: minmax objective bits"
-                    );
-                    assert_eq!(
-                        p.stats.dist_computations, par_baseline[ti][0],
-                        "{tlabel}: minmax dist_computations"
-                    );
-                    let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
-                    assert_eq!(p.answer, ref_mindist.answer, "{tlabel}: mindist answer");
-                    assert_eq!(
-                        p.stats.dist_computations, par_baseline[ti][1],
-                        "{tlabel}: mindist dist_computations"
-                    );
-                    let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
-                    assert_eq!(p.answer, ref_maxsum.answer, "{tlabel}: maxsum answer");
-                    assert_eq!(
-                        p.stats.dist_computations, par_baseline[ti][2],
-                        "{tlabel}: maxsum dist_computations"
-                    );
-                }
+                warm_only(&p.stats, "maxsum");
             }
         }
     }

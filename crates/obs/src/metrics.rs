@@ -12,7 +12,7 @@ use crate::{Phase, NUM_PHASES};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// `DistCache` lookups answered from the shared or local tier.
+    /// `DistCache` lookups answered from the warm or local tier.
     DistCacheHits = 0,
     /// `DistCache` lookups that computed the kernel.
     DistCacheMisses = 1,
@@ -51,46 +51,41 @@ pub enum Counter {
     /// connection is dropped but the worker survives to take the next
     /// one (an escaped panic would permanently shrink the fixed pool).
     ServePanics = 15,
-    /// `DistCache` admission transitions to *admitting*: the adaptive
-    /// controller re-opened the local tier after a probation period.
-    CacheAdmissionOn = 16,
-    /// `DistCache` admission transitions to *not admitting*: the sampled
-    /// hit rate over the sliding window fell below the reuse threshold,
-    /// so the local tier stops inserting (and stops being probed).
-    CacheAdmissionOff = 17,
-    /// `DistCache` misses whose insert was rejected because admission was
-    /// off (the kernel still ran; the result was not retained).
-    CacheInsertsRejected = 18,
+    /// `DistCache` misses whose result was not inserted into the local
+    /// tier. Nothing ticks it any more: the local tier inserts on every
+    /// miss. It stays exported, always 0, because the benchmark ledger
+    /// still reads it.
+    CacheInsertsRejected = 16,
     /// `ifls serve` queries that met the configured `--slo-ms` target
     /// (status 200 within the target latency).
-    SloGood = 19,
+    SloGood = 17,
     /// `ifls serve` queries that missed the SLO target (over-latency or
     /// a non-200 solver outcome).
-    SloBad = 20,
+    SloBad = 18,
     /// Request traces admitted by the flight recorder.
-    TracesRecorded = 21,
+    TracesRecorded = 19,
     /// Request traces the flight recorder declined (healthy and faster
     /// than everything retained).
-    TracesDropped = 22,
+    TracesDropped = 20,
     /// Successful work-steal operations in the batch scheduler (one tick
     /// per victim deque a thief drained items from). Unlike every other
     /// counter this one is timing-dependent by design: which deque a
     /// thief hits varies run to run, while the answers never do.
-    Steals = 23,
+    Steals = 21,
     /// `/query` requests answered through a serve-side micro-batch (only
     /// requests solved via the batch path tick this; a batch of one goes
     /// through the ordinary per-request path and does not).
-    BatchedRequests = 24,
+    BatchedRequests = 22,
     /// Serve pool workers respawned by the supervisor after a death or a
     /// wedge (rate-limited by the respawn token bucket).
-    WorkersRespawned = 25,
+    WorkersRespawned = 23,
     /// Serve pool workers declared wedged (heartbeat stale past the
     /// configured wedge window) and retired by the supervisor.
-    WorkersWedged = 26,
+    WorkersWedged = 24,
 }
 
 /// Number of counter slots (the length of [`Counter::ALL`]).
-pub(crate) const NUM_COUNTERS: usize = 27;
+pub(crate) const NUM_COUNTERS: usize = 25;
 
 impl Counter {
     /// Every counter, in canonical export order.
@@ -111,8 +106,6 @@ impl Counter {
         Counter::ReloadsApplied,
         Counter::ReloadsRefused,
         Counter::ServePanics,
-        Counter::CacheAdmissionOn,
-        Counter::CacheAdmissionOff,
         Counter::CacheInsertsRejected,
         Counter::SloGood,
         Counter::SloBad,
@@ -143,8 +136,6 @@ impl Counter {
             Counter::ReloadsApplied => "reloads_applied",
             Counter::ReloadsRefused => "reloads_refused",
             Counter::ServePanics => "serve_panics",
-            Counter::CacheAdmissionOn => "cache_admission_on",
-            Counter::CacheAdmissionOff => "cache_admission_off",
             Counter::CacheInsertsRejected => "cache_inserts_rejected",
             Counter::SloGood => "slo_requests_good",
             Counter::SloBad => "slo_requests_bad",

@@ -99,15 +99,11 @@ struct QueryRequest {
     sigma: Option<f64>,
     threads: usize,
     dist_cache: bool,
-    cache_admission: bool,
     deadline_ms: Option<u64>,
     max_dist_computations: Option<u64>,
 }
 
-fn parse_query_request(
-    body: &str,
-    default_cache_admission: bool,
-) -> Result<QueryRequest, Response> {
+fn parse_query_request(body: &str) -> Result<QueryRequest, Response> {
     let bad = |detail: String| error_response(400, "bad_request", &detail);
     let fields = parse_object(body).map_err(|e| bad(format!("request body: {e}")))?;
     let mut q = QueryRequest {
@@ -120,7 +116,6 @@ fn parse_query_request(
         sigma: None,
         threads: 0,
         dist_cache: true,
-        cache_admission: default_cache_admission,
         deadline_ms: None,
         max_dist_computations: None,
     };
@@ -171,9 +166,6 @@ fn parse_query_request(
                     as usize
             }
             "dist_cache" => q.dist_cache = value.as_bool().ok_or_else(|| type_err("a boolean"))?,
-            "cache_admission" => {
-                q.cache_admission = value.as_bool().ok_or_else(|| type_err("a boolean"))?
-            }
             "deadline_ms" => {
                 q.deadline_ms = Some(
                     value
@@ -236,7 +228,7 @@ fn prepare_query(shared: &Arc<Shared>, req: &Request) -> Result<PreparedQuery, R
             ))
         }
     };
-    let q = parse_query_request(body, shared.opts.default_cache_admission)?;
+    let q = parse_query_request(body)?;
     // Protocol-level errors (400) outrank semantic limits (422): a
     // malformed Deadline-Ms header is refused before the body is judged.
     let header_deadline = match req.header("deadline-ms") {
@@ -331,7 +323,6 @@ fn prepare_query(shared: &Arc<Shared>, req: &Request) -> Result<PreparedQuery, R
             algorithm: q.algorithm,
             threads: q.threads,
             dist_cache: q.dist_cache,
-            cache_admission: q.cache_admission,
         },
         seed: q.seed,
         clients: w.clients,

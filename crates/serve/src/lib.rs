@@ -99,10 +99,6 @@ pub struct ServeOptions {
     pub request_read_timeout: Duration,
     /// Install a `SIGHUP` → reload handler (Unix only; ignored elsewhere).
     pub sighup_reload: bool,
-    /// Default for requests that do not name `cache_admission`: whether
-    /// the distance cache's adaptive admission controller may gate the
-    /// local tier (`false` pins admission always-on).
-    pub default_cache_admission: bool,
     /// SLO latency target for `/query` requests, in milliseconds. When
     /// set, every answered query ticks `slo_requests_good` or
     /// `slo_requests_bad` and `/metrics` exports the remaining error
@@ -154,7 +150,6 @@ impl Default for ServeOptions {
             read_timeout: Duration::from_secs(5),
             request_read_timeout: Duration::from_secs(10),
             sighup_reload: true,
-            default_cache_admission: true,
             slo_ms: None,
             recorder_capacity: 64,
             trace_dump: Some(PathBuf::from("ifls-trace-dump.jsonl")),

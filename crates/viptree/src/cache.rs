@@ -8,35 +8,30 @@
 //! they can be memoized once and reused across candidates, across the three
 //! objectives, across queries, and across threads without any invalidation.
 //!
-//! Three tiers keep the parallel engines bit-identical at every thread
-//! count:
+//! Two tiers answer a lookup, probed in this order:
 //!
 //! * [`WarmTier`](crate::WarmTier) — an optional dense `door × partition`
-//!   matrix owned by the tree itself (built at `index build` time and
-//!   shipped inside `ifls-index/v2` snapshots); read-only, probed first
-//!   for door-vector lookups.
-//! * [`SharedDistCache`] — an immutable per-query tier built *before*
-//!   workers spawn and shared by `&` across `std::thread::scope`;
-//!   read-only, so no synchronization and no cross-thread ordering
-//!   effects.
-//! * [`DistCache`] — a per-worker (or per-query) mutable overflow tier
-//!   with a bounded entry count and deterministic whole-generation
-//!   eviction.
+//!   matrix plus the `partition × node` minima, owned by the tree itself
+//!   (built at `index build` time and shipped inside `ifls-index/v2`
+//!   snapshots); read-only, so every thread shares it without
+//!   synchronization. This is the precomputed side.
+//! * [`DistCache`]'s local table — a per-worker (or per-query) mutable
+//!   memo with a bounded entry count and deterministic whole-generation
+//!   eviction, filled on demand: every miss runs the kernel and inserts
+//!   its result.
 //!
-//! The mutable tier is an open-addressed, power-of-two flat table: packed
+//! The local table is an open-addressed, power-of-two flat table: packed
 //! `(partition, partition)` / `(partition, node)` small-int keys, one
 //! multiply-shift hash, linear probing, inline slots. Vector payloads live
 //! in one append-only `f64` arena addressed by `(offset, len)` spans —
 //! no per-entry allocation and no `BuildHasher` indirection on the hot
-//! path. An adaptive admission controller samples the observed hit rate
-//! over a sliding window and stops inserting (and probing) when the venue
-//! exhibits no reuse, so a cache that cannot win costs ~zero.
+//! path.
 //!
 //! Because every cached value equals the recomputation bit-for-bit (same
 //! pure function, same fold order), a hit can never change an answer —
-//! cache on/off, any admission mode, any eviction schedule and any thread
-//! count produce identical bits, which the `ifls-core` equivalence suites
-//! assert.
+//! cache on/off, warm tier present or absent, any eviction schedule and
+//! any thread count produce identical bits, which the `ifls-core`
+//! equivalence suites assert.
 
 use ifls_indoor::{IndoorPoint, PartitionId};
 use ifls_obs::{self as obs, Counter, Phase};
@@ -252,114 +247,20 @@ impl FlatMinTable {
     }
 }
 
-/// How the mutable tier decides whether to retain computed entries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheAdmission {
-    /// Sample the local hit rate over a sliding window; stop inserting
-    /// (and probing) while the observed reuse stays below the threshold,
-    /// re-probing periodically. The default.
-    #[default]
-    Adaptive,
-    /// Always insert (the pre-adaptive behavior; `--no-cache-admission`).
-    AlwaysOn,
-    /// Never insert into the local tier (immutable tiers still serve).
-    AlwaysOff,
-}
-
-/// Sliding admission window: local-tier lookups per hit-rate sample.
-pub const ADMISSION_WINDOW: u32 = 4096;
-
-/// Minimum sampled hit rate (percent) for the local tier to keep
-/// admitting inserts.
-const ADMISSION_MIN_HIT_PCT: u32 = 5;
-
-/// After this many windows with admission off, re-admit for one probation
-/// window to re-sample the workload.
-const ADMISSION_PROBATION_WINDOWS: u32 = 8;
-
 /// Snapshot of a cache's counters (cumulative since construction).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DistCacheStats {
-    /// Lookups answered from a cached entry (warm, shared or local tier).
+    /// Lookups answered from a cached entry (warm or local tier).
     pub hits: u64,
     /// Lookups that had to compute the kernel.
     pub misses: u64,
     /// Whole-generation flushes of the local tier.
     pub evictions: u64,
-    /// Current local-tier entry count (immutable tiers are accounted once
-    /// by whoever built them, not per consumer).
+    /// Current local-tier entry count (the warm tier is accounted once,
+    /// by the tree that owns it, not per consumer).
     pub entries: usize,
     /// Local-tier footprint: slot capacity × slot size + arena payload.
     pub bytes: usize,
-    /// Misses whose insert was rejected because admission was off.
-    pub inserts_rejected: u64,
-    /// Whether the local tier is currently admitting inserts.
-    pub admitting: bool,
-}
-
-/// The immutable per-query cache tier: door-distance vectors precomputed
-/// before any worker thread spawns, then shared read-only by reference.
-///
-/// Internally an open-addressed flat table (same layout as the mutable
-/// tier) — built once, probed lock-free by every worker.
-///
-/// Building is just `door_dists_to_partition` per requested pair, so the
-/// tier is only worth its cost for pairs the query is guaranteed to revisit
-/// — e.g. every (client partition, existing facility) pair, which every
-/// candidate shard of `ifls-core`'s parallel solver touches.
-#[derive(Debug, Default)]
-pub struct SharedDistCache {
-    table: FlatVecTable,
-}
-
-impl SharedDistCache {
-    /// Precomputes the door-distance vector for every distinct pair in
-    /// `pairs` (same-partition pairs are skipped: callers short-circuit
-    /// them to 0 before consulting any cache).
-    pub fn build(
-        tree: &VipTree<'_>,
-        pairs: impl IntoIterator<Item = (PartitionId, PartitionId)>,
-    ) -> Self {
-        let mut table = FlatVecTable::default();
-        for (p, q) in pairs {
-            if p == q {
-                continue;
-            }
-            let key = pack(p.raw(), q.raw());
-            if table.span_of(key).is_none() {
-                let v = tree.door_dists_to_partition(p, q);
-                table.insert(key, &v);
-            }
-        }
-        Self { table }
-    }
-
-    /// The cached vector for `(p, q)`, if precomputed.
-    #[inline]
-    pub fn get(&self, p: PartitionId, q: PartitionId) -> Option<&[f64]> {
-        self.table
-            .span_of(pack(p.raw(), q.raw()))
-            .map(|s| self.table.slice(s))
-    }
-
-    /// Number of precomputed vectors.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.table.entries()
-    }
-
-    /// Whether the tier is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.table.entries() == 0
-    }
-
-    /// Approximate heap footprint in bytes (capacity × slot size plus the
-    /// arena payload).
-    #[inline]
-    pub fn approx_bytes(&self) -> usize {
-        self.table.bytes()
-    }
 }
 
 /// Default bound on the mutable tier's entry count.
@@ -372,67 +273,44 @@ pub const DEFAULT_CACHE_ENTRIES: usize = 1 << 19;
 
 /// The mutable cache tier: a bounded memo table over
 /// `door_dists_to_partition` vectors and `iMinD(partition, node)` scalars,
-/// optionally backed by an immutable [`SharedDistCache`] and by the
-/// tree's own [`WarmTier`](crate::WarmTier).
+/// backed by the tree's own [`WarmTier`](crate::WarmTier) when it has one.
 ///
 /// When the entry bound is reached the whole local generation is flushed —
 /// a deterministic policy whose timing cannot affect answers, because every
 /// entry is a pure function of the tree.
 #[derive(Debug)]
-pub struct DistCache<'s> {
-    shared: Option<&'s SharedDistCache>,
+pub struct DistCache {
     vecs: FlatVecTable,
     mins: FlatMinTable,
     max_entries: usize,
     enabled: bool,
-    admission: CacheAdmission,
-    admitting: bool,
-    window_lookups: u32,
-    window_hits: u32,
-    idle_lookups: u32,
     hits: u64,
     misses: u64,
     evictions: u64,
-    inserts_rejected: u64,
     /// Recompute / warm-gather buffer for values not retained locally.
     scratch: Vec<f64>,
 }
 
-impl Default for DistCache<'_> {
+impl Default for DistCache {
     fn default() -> Self {
         Self::new(DEFAULT_CACHE_ENTRIES)
     }
 }
 
-impl<'s> DistCache<'s> {
+impl DistCache {
     /// An enabled cache bounded to `max_entries` local entries
     /// (vectors + scalars combined). A bound of 0 behaves like 1.
     pub fn new(max_entries: usize) -> Self {
         Self {
-            shared: None,
             vecs: FlatVecTable::default(),
             mins: FlatMinTable::default(),
             max_entries: max_entries.max(1),
             enabled: true,
-            admission: CacheAdmission::Adaptive,
-            admitting: true,
-            window_lookups: 0,
-            window_hits: 0,
-            idle_lookups: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
-            inserts_rejected: 0,
             scratch: Vec::new(),
         }
-    }
-
-    /// An enabled cache whose lookups consult `shared` first; entries
-    /// missing there overflow into the bounded local tier.
-    pub fn with_shared(max_entries: usize, shared: &'s SharedDistCache) -> Self {
-        let mut c = Self::new(max_entries);
-        c.shared = Some(shared);
-        c
     }
 
     /// A pass-through cache for ablation (`--no-dist-cache`): every lookup
@@ -452,70 +330,10 @@ impl<'s> DistCache<'s> {
         }
     }
 
-    /// Sets the admission mode (builder-style), resetting the controller.
-    pub fn admission_mode(mut self, mode: CacheAdmission) -> Self {
-        self.admission = mode;
-        self.admitting = mode != CacheAdmission::AlwaysOff;
-        self.window_lookups = 0;
-        self.window_hits = 0;
-        self.idle_lookups = 0;
-        self
-    }
-
-    /// The configured admission mode.
-    #[inline]
-    pub fn admission(&self) -> CacheAdmission {
-        self.admission
-    }
-
     /// Whether lookups memoize (false for the ablation pass-through).
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Applies pending admission decisions. Runs at the *top* of a lookup
-    /// — never between a probe and the use of its result — so a flush can
-    /// never invalidate a slice the caller is about to receive.
-    fn admission_tick(&mut self) {
-        if self.admission != CacheAdmission::Adaptive {
-            return;
-        }
-        if self.admitting {
-            if self.window_lookups >= ADMISSION_WINDOW {
-                if self.window_hits * 100 < self.window_lookups * ADMISSION_MIN_HIT_PCT {
-                    // The venue shows no local reuse: flush the dead
-                    // generation and stop paying for inserts.
-                    self.admitting = false;
-                    self.vecs.clear();
-                    self.mins.clear();
-                    obs::counter_add(Counter::CacheAdmissionOff, 1);
-                }
-                self.window_lookups = 0;
-                self.window_hits = 0;
-            }
-        } else if self.idle_lookups >= ADMISSION_PROBATION_WINDOWS * ADMISSION_WINDOW {
-            // Probation: re-admit for one window to re-sample reuse.
-            self.idle_lookups = 0;
-            self.admitting = true;
-            obs::counter_add(Counter::CacheAdmissionOn, 1);
-        }
-    }
-
-    /// Records one local-tier lookup outcome for the admission sampler.
-    /// Lookups served by the immutable tiers are not counted: admission
-    /// judges whether the *local* tier earns its inserts.
-    #[inline]
-    fn observe_local(&mut self, hit: bool) {
-        if self.admission != CacheAdmission::Adaptive {
-            return;
-        }
-        if self.admitting {
-            self.window_lookups += 1;
-            self.window_hits += hit as u32;
-        } else {
-            self.idle_lookups += 1;
-        }
     }
 
     /// The door-distance vector from each door of `p` to partition `q`
@@ -525,16 +343,6 @@ impl<'s> DistCache<'s> {
             self.scratch = tree.door_dists_to_partition(p, q);
             return &self.scratch;
         }
-        if let Some(shared) = self.shared {
-            if shared.get(p, q).is_some() {
-                self.hits += 1;
-                obs::counter_add(Counter::DistCacheHits, 1);
-                // Invariant: the shared tier is immutable once published,
-                // so the entry probed two lines up cannot have vanished
-                // (the double lookup sidesteps a borrow-check limitation).
-                return shared.get(p, q).expect("checked above");
-            }
-        }
         if let Some(warm) = tree.warm_tier() {
             if warm.covers(q) {
                 self.hits += 1;
@@ -543,26 +351,14 @@ impl<'s> DistCache<'s> {
                 return &self.scratch;
             }
         }
-        self.admission_tick();
         let key = pack(p.raw(), q.raw());
-        if self.admitting {
-            if let Some(span) = self.vecs.span_of(key) {
-                self.hits += 1;
-                obs::counter_add(Counter::DistCacheHits, 1);
-                self.observe_local(true);
-                return self.vecs.slice(span);
-            }
+        if let Some(span) = self.vecs.span_of(key) {
+            self.hits += 1;
+            obs::counter_add(Counter::DistCacheHits, 1);
+            return self.vecs.slice(span);
         }
         self.misses += 1;
         obs::counter_add(Counter::DistCacheMisses, 1);
-        self.observe_local(false);
-        if !self.admitting {
-            self.inserts_rejected += 1;
-            obs::counter_add(Counter::CacheInsertsRejected, 1);
-            let _span = obs::span(Phase::CacheLookup);
-            self.scratch = tree.door_dists_to_partition(p, q);
-            return &self.scratch;
-        }
         self.maybe_evict();
         // The miss path is where the kernel actually runs; hits are counted
         // above but not timed (a span per hit would dwarf the hit itself).
@@ -606,25 +402,14 @@ impl<'s> DistCache<'s> {
                 return warm.node_min(p, n);
             }
         }
-        self.admission_tick();
         let key = pack(p.raw(), n.raw());
-        if self.admitting {
-            if let Some(v) = self.mins.get(key) {
-                self.hits += 1;
-                obs::counter_add(Counter::DistCacheHits, 1);
-                self.observe_local(true);
-                return v;
-            }
+        if let Some(v) = self.mins.get(key) {
+            self.hits += 1;
+            obs::counter_add(Counter::DistCacheHits, 1);
+            return v;
         }
         self.misses += 1;
         obs::counter_add(Counter::DistCacheMisses, 1);
-        self.observe_local(false);
-        if !self.admitting {
-            self.inserts_rejected += 1;
-            obs::counter_add(Counter::CacheInsertsRejected, 1);
-            let _span = obs::span(Phase::CacheLookup);
-            return tree.min_dist_partition_to_node(p, n);
-        }
         self.maybe_evict();
         let _span = obs::span(Phase::CacheLookup);
         let v = tree.min_dist_partition_to_node(p, n);
@@ -656,7 +441,7 @@ impl<'s> DistCache<'s> {
         }
     }
 
-    /// Drops every local entry (the immutable tiers are untouched).
+    /// Drops every local entry (the warm tier is untouched).
     pub fn clear(&mut self) {
         self.vecs.clear();
         self.mins.clear();
@@ -670,16 +455,7 @@ impl<'s> DistCache<'s> {
             evictions: self.evictions,
             entries: self.vecs.entries() + self.mins.entries(),
             bytes: self.vecs.bytes() + self.mins.bytes(),
-            inserts_rejected: self.inserts_rejected,
-            admitting: self.admitting,
         }
-    }
-
-    /// Approximate heap footprint including the shared tier (for memory
-    /// reports of a cache that owns its whole footprint, e.g. a monitor).
-    #[inline]
-    pub fn approx_bytes(&self) -> usize {
-        self.vecs.bytes() + self.mins.bytes() + self.shared.map_or(0, SharedDistCache::approx_bytes)
     }
 }
 
@@ -727,7 +503,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits, s.misses, "every pair looked up exactly twice");
         assert!(s.bytes > 0);
-        assert!(s.admitting, "short runs never trip adaptive admission");
     }
 
     #[test]
@@ -793,30 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_tier_hits_without_touching_local() {
-        let venue = fixture();
-        let tree = VipTree::build(&venue, VipTreeConfig::default());
-        let parts: Vec<_> = venue.partition_ids().collect();
-        let pairs: Vec<_> = parts[1..5].iter().map(|&q| (parts[0], q)).collect();
-        let shared = SharedDistCache::build(&tree, pairs.iter().copied());
-        assert_eq!(shared.len(), 4);
-        let mut cache = DistCache::with_shared(16, &shared);
-        for &(p, q) in &pairs {
-            let v = cache.door_dists(&tree, p, q).to_vec();
-            let direct = tree.door_dists_to_partition(p, q);
-            for (a, b) in v.iter().zip(&direct) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        let s = cache.stats();
-        assert_eq!(s.hits, 4, "all served from the shared tier");
-        assert_eq!(s.misses, 0);
-        assert_eq!(s.entries, 0, "shared hits never populate the local tier");
-        assert_eq!(s.bytes, 0, "slots are allocated lazily");
-        assert!(cache.approx_bytes() >= shared.approx_bytes());
-    }
-
-    #[test]
     fn combine_legs_matches_point_via() {
         let venue = fixture();
         let tree = VipTree::build(&venue, VipTreeConfig::default());
@@ -873,57 +624,5 @@ mod tests {
             assert_eq!(m.get(pack(i, i / 3)), Some(i as f64));
         }
         assert_eq!(m.get(pack(n, 0)), None);
-    }
-
-    #[test]
-    fn adaptive_admission_shuts_off_and_reprobes() {
-        // Needs parts × nodes > one admission window of distinct lookups.
-        let venue = GridVenueSpec::new("t", 3, 300).build();
-        let tree = VipTree::build(&venue, VipTreeConfig::default());
-        let parts: Vec<_> = venue.partition_ids().collect();
-        let mut cache = DistCache::default();
-        // A zero-reuse stream: every (p, n) min lookup is distinct, so the
-        // sampled hit rate is 0% and admission must shut off after the
-        // first window.
-        let nodes: Vec<_> = tree.node_ids().collect();
-        let mut i = 0u64;
-        let mut fire = |cache: &mut DistCache<'_>, count: u64| {
-            for _ in 0..count {
-                let p = parts[(i % parts.len() as u64) as usize];
-                let n = nodes[((i / parts.len() as u64) % nodes.len() as u64) as usize];
-                // Distinctness doesn't matter for the sampler (repeats
-                // would raise the hit rate), so walk a long diagonal.
-                let a = cache.min_dist_partition_to_node(&tree, p, n);
-                let b = tree.min_dist_partition_to_node(p, n);
-                assert_eq!(a.to_bits(), b.to_bits(), "answers never change");
-                i += 1;
-            }
-        };
-        // The diagonal repeats after parts×nodes lookups; keep the stream
-        // within one pass so every lookup misses.
-        let distinct = (parts.len() * nodes.len()) as u64;
-        assert!(distinct > u64::from(ADMISSION_WINDOW) + 16);
-        fire(&mut cache, u64::from(ADMISSION_WINDOW) + 16);
-        let s = cache.stats();
-        assert!(!s.admitting, "0% hit rate must shut admission off");
-        assert!(s.inserts_rejected > 0);
-        assert_eq!(s.entries, 0, "the dead generation is flushed");
-        // After the probation period the controller re-admits.
-        fire(
-            &mut cache,
-            u64::from(ADMISSION_PROBATION_WINDOWS * ADMISSION_WINDOW) + 16,
-        );
-        assert!(cache.stats().admitting, "probation re-opens the tier");
-
-        // AlwaysOff never admits; AlwaysOn never rejects.
-        let mut off = DistCache::default().admission_mode(CacheAdmission::AlwaysOff);
-        let d1 = off.min_dist_partition_to_node(&tree, parts[0], nodes[2]);
-        let d2 = off.min_dist_partition_to_node(&tree, parts[0], nodes[2]);
-        assert_eq!(d1.to_bits(), d2.to_bits());
-        let s = off.stats();
-        assert_eq!((s.entries, s.hits), (0, 0));
-        assert_eq!(s.inserts_rejected, s.misses);
-        let on = DistCache::default().admission_mode(CacheAdmission::AlwaysOn);
-        assert_eq!(on.admission(), CacheAdmission::AlwaysOn);
     }
 }

@@ -54,9 +54,7 @@ mod snapshot;
 mod tree;
 pub mod warm;
 
-pub use cache::{
-    CacheAdmission, DistCache, DistCacheStats, SharedDistCache, DEFAULT_CACHE_ENTRIES,
-};
+pub use cache::{DistCache, DistCacheStats, DEFAULT_CACHE_ENTRIES};
 pub use knn::{FacilityIndex, IncrementalNn, NnEntry};
 pub use matrix::{DistArena, MatRef};
 pub use node::{NodeChildren, NodeId};
@@ -79,7 +77,6 @@ const _: () = {
     assert_send_sync::<VipTree<'static>>();
     assert_send_sync::<FacilityIndex>();
     assert_send_sync::<DistArena>();
-    assert_send_sync::<SharedDistCache>();
     assert_send_sync::<VipTreeConfig>();
 };
 

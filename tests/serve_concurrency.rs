@@ -44,7 +44,6 @@ fn oracle_prefix(
         algorithm,
         threads: 0,
         dist_cache: true,
-        cache_admission: true,
     };
     let summary = api::solve(
         &tree,

@@ -150,6 +150,8 @@ fn malformed_bodies_get_typed_400s_and_the_daemon_survives() {
         "{\"clients\":1.5}",         // fractional integer
         "{\"seed\":0,\"seed\":1}",   // duplicate key
         "{\"dist_cache\":\"yes\"}",  // wrong type
+        // not a request field
+        "{\"cache_admission\":true}",
     ] {
         let resp = post_query(addr, bad);
         assert_eq!(resp.status, 400, "body {bad:?} -> {}", resp.body);
