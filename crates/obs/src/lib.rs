@@ -93,8 +93,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// * `CandidateLoop` — the main exploration loop over the global queue
 ///   (inclusive of the phases nested inside it).
 /// * `Refine` — `increaseDist` refinement of the answer bounds.
-/// * `CacheLookup` — distance-kernel computation on `DistCache` misses
-///   (hits are counted, not timed; see [`Counter::DistCacheHits`]).
+/// * `CacheLookup` — kernel computation: a miss, or any lookup with the
+///   cache off (hits are counted, not timed; see
+///   [`Counter::DistCacheHits`]).
 ///
 /// The build-side phases cover VIP-tree construction and index snapshots
 /// (see [`Phase::BUILD`]); only the coordinator thread records them, so
@@ -119,7 +120,7 @@ pub enum Phase {
     CandidateLoop = 3,
     /// Answer-bound refinement (`increaseDist`).
     Refine = 4,
-    /// Distance-kernel computation on cache misses.
+    /// Kernel computation: a miss, or any lookup with the cache off.
     CacheLookup = 5,
     /// VIP-tree leaf formation.
     BuildLeaves = 6,

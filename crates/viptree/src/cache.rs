@@ -340,6 +340,7 @@ impl DistCache {
     /// (see [`VipTree::door_dists_to_partition`]), memoized.
     pub fn door_dists(&mut self, tree: &VipTree<'_>, p: PartitionId, q: PartitionId) -> &[f64] {
         if !self.enabled {
+            let _span = obs::span(Phase::CacheLookup);
             self.scratch = tree.door_dists_to_partition(p, q);
             return &self.scratch;
         }
@@ -360,8 +361,9 @@ impl DistCache {
         self.misses += 1;
         obs::counter_add(Counter::DistCacheMisses, 1);
         self.maybe_evict();
-        // The miss path is where the kernel actually runs; hits are counted
-        // above but not timed (a span per hit would dwarf the hit itself).
+        // The miss path is where the kernel actually runs (as is every
+        // lookup with the cache off); hits are counted above but not timed
+        // (a span per hit would dwarf the hit itself).
         let _span = obs::span(Phase::CacheLookup);
         let v = tree.door_dists_to_partition(p, q);
         if ifls_fault::should_fail(ifls_fault::FaultPoint::CacheInsert) {
@@ -393,6 +395,7 @@ impl DistCache {
         n: NodeId,
     ) -> f64 {
         if !self.enabled {
+            let _span = obs::span(Phase::CacheLookup);
             return tree.min_dist_partition_to_node(p, n);
         }
         if let Some(warm) = tree.warm_tier() {

@@ -51,20 +51,50 @@ impl AccessDists<'_> {
     }
 }
 
-/// Reusable buffers for the IP-tree level-by-level climb (non-vivid
-/// trees) and the per-group minima of `min_door_to_access`. One set per
-/// thread: the tree itself stays free of interior mutability, so sharing
-/// it by `&` across threads remains sound.
+/// Reusable buffers, one set per thread: the tree itself stays free of
+/// interior mutability, so sharing it by `&` across threads remains sound.
 #[derive(Default)]
 struct DistScratch {
+    /// IP-tree climb buffers (non-vivid trees): the source side, the
+    /// target side, and ping-pong scratch for both.
     a: Vec<f64>,
     b: Vec<f64>,
     tmp: Vec<f64>,
-    /// One `(c2, offset into mins)` per LCA child met by the current call.
-    groups: Vec<(NodeId, usize)>,
-    /// Each group's element-wise minimum over `c2`'s access doors, back to
-    /// back.
+    /// `(home leaf, row, out slot)` of each source door of the batched
+    /// kernel (`VipTree::min_door_to_doors`), sorted by leaf.
+    sources: Vec<(NodeId, u32, usize)>,
+    /// The batched kernel's targets, grouped for one source leaf at a time.
+    targets: TargetGroups,
+}
+
+/// The targets of one `VipTree::min_door_to_doors` call, grouped for the
+/// current source leaf.
+#[derive(Default)]
+struct TargetGroups {
+    /// `(home leaf, row)` of each target door.
+    homes: Vec<(NodeId, u32)>,
+    /// Rows of the targets homed in the current source leaf.
+    near: Vec<u32>,
+    /// The other targets, one group per LCA child met.
+    groups: Vec<Group>,
+    /// The folded min-vectors of the groups, back to back.
     mins: Vec<f64>,
+}
+
+/// The targets that share `c2`, the child of their LCA with the current
+/// source leaf on the targets' side.
+#[derive(Clone, Copy)]
+struct Group {
+    lca: NodeId,
+    /// The LCA's child on the source side.
+    c1: NodeId,
+    c2: NodeId,
+    /// Home `(leaf, row)` of the group's first member.
+    first: (NodeId, u32),
+    /// Offset in `mins` of the element-wise minimum of the members'
+    /// distances to `c2`'s access doors; `None` while the group's one
+    /// member's own row can be borrowed instead.
+    folded: Option<usize>,
 }
 
 thread_local! {
@@ -87,7 +117,7 @@ impl VipTree<'_> {
             // arena (vivid rows, or the leaves sit just below the LCA).
             let v1 = self.access_dists(l1, i1 as usize, c1);
             let v2 = self.access_dists(l2, i2 as usize, c2);
-            return self.compose_at_lca(lca, c1, c2, &v1, &v2);
+            return self.compose_at_lca(lca, c1, c2, &v1, &v2, f64::INFINITY);
         }
         // IP-tree mode: climb each side into per-thread scratch buffers
         // instead of allocating per level.
@@ -101,13 +131,16 @@ impl VipTree<'_> {
                 c2,
                 &AccessDists::Dense(&s.a),
                 &AccessDists::Dense(&s.b),
+                f64::INFINITY,
             )
         })
     }
 
-    /// Minimum of `v1[i] + mat_lca(pos1[i], pos2[j]) + v2[j]` over the
-    /// access doors of the LCA's two children — the final composition step
-    /// of every cross-leaf door distance.
+    /// Minimum of `bound` and `v1[i] + mat_lca(pos1[i], pos2[j]) + v2[j]`
+    /// over the access doors of the LCA's two children — the final
+    /// composition step of every cross-leaf door distance. A row whose leg
+    /// `v1[i]` alone reaches the running minimum is skipped: the other two
+    /// terms are non-negative, so it cannot lower it.
     fn compose_at_lca(
         &self,
         lca: NodeId,
@@ -115,11 +148,12 @@ impl VipTree<'_> {
         c2: NodeId,
         v1: &AccessDists<'_>,
         v2: &AccessDists<'_>,
+        bound: f64,
     ) -> f64 {
         let pos1 = self.access_positions_in_parent(lca, c1);
         let pos2 = self.access_positions_in_parent(lca, c2);
         let mat = self.mat(lca);
-        let mut best = f64::INFINITY;
+        let mut best = bound;
         for (i, &p1) in pos1.iter().enumerate() {
             let a = v1.get(i);
             if a >= best {
@@ -242,30 +276,41 @@ impl VipTree<'_> {
     /// facilities"): computed once per (client partition, facility) pair
     /// and combined with each client's door legs.
     pub fn door_dists_to_partition(&self, p: PartitionId, q: PartitionId) -> Vec<f64> {
-        self.venue
-            .partition(p)
-            .doors()
-            .iter()
-            .map(|&ds| self.door_dist_from(ds, q))
-            .collect()
+        let doors = self.venue.partition(p).doors();
+        let mut out: Vec<f64> = doors.iter().map(|&d| self.door_seed(d, q)).collect();
+        self.min_door_to_doors(
+            doors.iter().copied().zip(0..),
+            self.venue.partition(q).doors().iter().copied(),
+            &mut out,
+        );
+        out
     }
 
     /// Exact indoor distance from door `ds` to partition `q` (0 when the
-    /// door opens into `q`).
+    /// door opens into `q`): the one-source case of
+    /// [`Self::door_dists_to_partition`].
     ///
-    /// This is the scalar kernel behind [`Self::door_dists_to_partition`]
-    /// and the warm tier ([`crate::WarmTier`]) alike — both must call this
-    /// one function so their values cannot diverge by a bit.
+    /// Both run the same batched kernel as the warm tier's column fill
+    /// ([`crate::WarmTier`]), so their values cannot diverge by a bit.
     pub fn door_dist_from(&self, ds: DoorId, q: PartitionId) -> f64 {
-        if self.venue.door(ds).partitions().any(|side| side == q) {
-            return 0.0;
+        let mut out = [self.door_seed(ds, q)];
+        self.min_door_to_doors(
+            [(ds, 0)],
+            self.venue.partition(q).doors().iter().copied(),
+            &mut out,
+        );
+        out[0]
+    }
+
+    /// The starting bound of door `d`'s distance to partition `q`: 0 when
+    /// the door opens into `q`, ∞ otherwise.
+    #[inline]
+    pub(crate) fn door_seed(&self, d: DoorId, q: PartitionId) -> f64 {
+        if self.venue.door(d).partitions().any(|side| side == q) {
+            0.0
+        } else {
+            f64::INFINITY
         }
-        self.venue
-            .partition(q)
-            .doors()
-            .iter()
-            .map(|&dt| self.door_to_door(ds, dt))
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Combines per-door facility distances (from
@@ -297,12 +342,15 @@ impl VipTree<'_> {
         if self.contains_partition(n, p) {
             return 0.0;
         }
-        self.venue
-            .partition(p)
-            .doors()
-            .iter()
-            .map(|&ds| self.min_door_to_access(ds, n))
-            .fold(f64::INFINITY, f64::min)
+        // Every source door shares the one slot, so each starts from the
+        // minimum of the doors before it.
+        let mut best = [f64::INFINITY];
+        self.min_door_to_doors(
+            self.venue.partition(p).doors().iter().map(|&d| (d, 0)),
+            self.nodes[n.index()].access_doors(),
+            &mut best,
+        );
+        best[0]
     }
 
     /// `iMinD` from a located point to a node: a lower bound on the
@@ -332,68 +380,172 @@ impl VipTree<'_> {
         best
     }
 
-    /// `min_a door_to_door(ds, a)` over the access doors `a` of `n`,
-    /// bit-identical to that per-pair minimum but composed once per LCA
-    /// child instead of once per pair.
+    /// The batched kernel behind every door-to-door-set minimum. For each
+    /// `(d, slot)` of `sources` it lowers `out[slot]` to
+    /// `min_t door_to_door(d, t)` over `targets`; the slot's value on entry
+    /// is the starting bound. Sources that share a slot leave it at their
+    /// joint minimum, each starting from the minimum found before it. A
+    /// source whose slot already holds 0 is dropped: no distance is below 0.
     ///
-    /// Targets homed in `ds`'s leaf read the leaf matrix, as
-    /// [`Self::door_to_door`] does. The others are grouped by `c2`, the
-    /// child of `LCA(leaf(ds), leaf(a))` that holds `a`: each target's
-    /// distances to `c2`'s access doors (its vivid row, or the IP-tree
-    /// climb) are folded element-wise into the group's min-vector `w`,
-    /// which is composed once at the LCA. Rounding to nearest never
-    /// decreases when an operand increases, so
+    /// The result is bit-identical to the per-pair minimum, but it is
+    /// composed once per source door and LCA child instead of once per
+    /// pair. Sources are taken one home leaf at a time:
+    /// * Targets homed in that leaf read the leaf matrix, as
+    ///   [`Self::door_to_door`] does.
+    /// * The others are grouped by `c2`, the child of
+    ///   `LCA(leaf, leaf(t))` that holds `t`. Each member's distances to
+    ///   `c2`'s access doors (its vivid row, or the IP-tree climb) are
+    ///   folded element-wise into the group's min-vector `w`. A group
+    ///   with one member keeps its member's own row, with no copy.
+    /// * Every source door of the leaf composes once per group at the LCA.
+    ///
+    /// Rounding to nearest never decreases when an operand increases, so
     /// `fl(fl(v1[x] + M[x, y]) + w[y])` equals
-    /// `min_a fl(fl(v1[x] + M[x, y]) + v_a[y])` exactly.
-    fn min_door_to_access(&self, ds: DoorId, n: NodeId) -> f64 {
-        let (l1, i1) = self.door_home[ds.index()];
-        let i1 = i1 as usize;
-        let leaf1 = self.mat(l1);
+    /// `min_t fl(fl(v1[x] + M[x, y]) + v_t[y])` exactly. Min is exact, and
+    /// a starting bound only skips rows that cannot go below it.
+    pub(crate) fn min_door_to_doors(
+        &self,
+        sources: impl IntoIterator<Item = (DoorId, usize)>,
+        targets: impl IntoIterator<Item = DoorId>,
+        out: &mut [f64],
+    ) {
         DIST_SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            s.groups.clear();
-            s.mins.clear();
-            let mut best = f64::INFINITY;
-            for a in self.nodes[n.index()].access_doors() {
-                let (l2, i2) = self.door_home[a.index()];
-                let i2 = i2 as usize;
-                if l2 == l1 {
-                    best = best.min(leaf1.dist(i1, i2));
-                    continue;
-                }
-                let c2 = self.ancestor_at_depth(l2, self.depth(self.lca(l1, l2)) + 1);
-                let off = match s.groups.iter().find(|&&(c, _)| c == c2) {
-                    Some(&(_, off)) => off,
-                    None => {
-                        let off = s.mins.len();
-                        s.mins
-                            .resize(off + self.num_access_doors(c2), f64::INFINITY);
-                        s.groups.push((c2, off));
-                        off
+            let DistScratch {
+                a,
+                b,
+                tmp,
+                sources: src,
+                targets: t,
+            } = &mut *s.borrow_mut();
+            src.clear();
+            src.extend(
+                sources
+                    .into_iter()
+                    .filter(|&(_, slot)| out[slot] > 0.0)
+                    .map(|(d, slot)| {
+                        let (leaf, row) = self.door_home[d.index()];
+                        (leaf, row, slot)
+                    }),
+            );
+            if src.is_empty() {
+                return;
+            }
+            src.sort_unstable_by_key(|&(leaf, ..)| leaf);
+            t.homes.clear();
+            t.homes
+                .extend(targets.into_iter().map(|d| self.door_home[d.index()]));
+            for run in src.chunk_by(|x, y| x.0 == y.0) {
+                let l1 = run[0].0;
+                self.group_targets(l1, t, b, tmp);
+                let (near, groups, mins) = (&t.near, &t.groups, &t.mins);
+                let leaf1 = self.mat(l1);
+                for &(_, i1, slot) in run {
+                    let i1 = i1 as usize;
+                    let mut best = out[slot];
+                    for &i2 in near {
+                        let d = leaf1.dist(i1, i2 as usize);
+                        if d < best {
+                            best = d;
+                        }
                     }
-                };
-                let w = &mut s.mins[off..off + self.num_access_doors(c2)];
-                if self.config.vivid || c2 == l2 {
-                    self.access_dists(l2, i2, c2).min_into(w);
-                } else {
-                    self.climb_into(l2, i2, c2, &mut s.b, &mut s.tmp);
-                    AccessDists::Dense(&s.b).min_into(w);
+                    for g in groups {
+                        let w = match g.folded {
+                            Some(off) => {
+                                AccessDists::Dense(&mins[off..off + self.num_access_doors(g.c2)])
+                            }
+                            None => self.access_dists(g.first.0, g.first.1 as usize, g.c2),
+                        };
+                        let v1 = if self.config.vivid || g.c1 == l1 {
+                            self.access_dists(l1, i1, g.c1)
+                        } else {
+                            self.climb_into(l1, i1, g.c1, a, tmp);
+                            AccessDists::Dense(a.as_slice())
+                        };
+                        best = self.compose_at_lca(g.lca, g.c1, g.c2, &v1, &w, best);
+                    }
+                    out[slot] = best;
                 }
             }
-            for &(c2, off) in &s.groups {
-                let lca = self.parent(c2).expect("c2 is below the LCA");
-                let c1 = self.ancestor_at_depth(l1, self.depth(lca) + 1);
-                let w = AccessDists::Dense(&s.mins[off..off + self.num_access_doors(c2)]);
-                let d = if self.config.vivid || c1 == l1 {
-                    self.compose_at_lca(lca, c1, c2, &self.access_dists(l1, i1, c1), &w)
-                } else {
-                    self.climb_into(l1, i1, c1, &mut s.a, &mut s.tmp);
-                    self.compose_at_lca(lca, c1, c2, &AccessDists::Dense(&s.a), &w)
-                };
-                best = best.min(d);
-            }
-            best
         })
+    }
+
+    /// Sorts the targets for source leaf `l1` into `t.near` and
+    /// `t.groups`, folding the members of each group with more than one
+    /// into `t.mins`.
+    fn group_targets(
+        &self,
+        l1: NodeId,
+        t: &mut TargetGroups,
+        b: &mut Vec<f64>,
+        tmp: &mut Vec<f64>,
+    ) {
+        let TargetGroups {
+            homes,
+            near,
+            groups,
+            mins,
+        } = t;
+        near.clear();
+        groups.clear();
+        mins.clear();
+        for &(l2, i2) in homes.iter() {
+            if l2 == l1 {
+                near.push(i2);
+                continue;
+            }
+            let lca = self.lca(l1, l2);
+            let below = self.depth(lca) + 1;
+            let c2 = self.ancestor_at_depth(l2, below);
+            match groups.iter_mut().find(|g| g.c2 == c2) {
+                Some(g) => {
+                    let off = match g.folded {
+                        Some(off) => off,
+                        None => self.fold_target(g.first, c2, None, mins, b, tmp),
+                    };
+                    g.folded = Some(self.fold_target((l2, i2), c2, Some(off), mins, b, tmp));
+                }
+                None => {
+                    // An IP-tree member off the LCA's child has no row to
+                    // borrow: its climb lands in `mins`.
+                    let folded = (!self.config.vivid && c2 != l2)
+                        .then(|| self.fold_target((l2, i2), c2, None, mins, b, tmp));
+                    groups.push(Group {
+                        lca,
+                        c1: self.ancestor_at_depth(l1, below),
+                        c2,
+                        first: (l2, i2),
+                        folded,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Folds the distances from target `(l2, i2)` to `c2`'s access doors
+    /// element-wise into the min-vector at `off` in `mins` (a fresh all-∞
+    /// one when `off` is `None`) and returns its offset.
+    fn fold_target(
+        &self,
+        (l2, i2): (NodeId, u32),
+        c2: NodeId,
+        off: Option<usize>,
+        mins: &mut Vec<f64>,
+        b: &mut Vec<f64>,
+        tmp: &mut Vec<f64>,
+    ) -> usize {
+        let len = self.num_access_doors(c2);
+        let off = off.unwrap_or_else(|| {
+            mins.resize(mins.len() + len, f64::INFINITY);
+            mins.len() - len
+        });
+        let w = &mut mins[off..off + len];
+        if self.config.vivid || c2 == l2 {
+            self.access_dists(l2, i2 as usize, c2).min_into(w);
+        } else {
+            self.climb_into(l2, i2 as usize, c2, b, tmp);
+            AccessDists::Dense(b.as_slice()).min_into(w);
+        }
+        off
     }
 }
 

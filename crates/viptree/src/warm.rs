@@ -20,15 +20,17 @@
 //! expansion. It has no per-door structure to share, but it is small
 //! (`partitions × nodes`, ~4 MiB on MZB) and every queue expansion asks
 //! for it, so the whole matrix is precomputed all-or-nothing from
-//! whatever budget the door columns leave over. A miss composes once per
-//! LCA child and costs ~3 µs on MZB and ~11 µs on MC (mean over all
-//! cells, one core of a 2-vCPU host). Filling the matrix takes ~1.9 s of
-//! a ~7.5 s single-threaded build over the four named venues, so the
-//! door columns dominate the build.
+//! whatever budget the door columns leave over. A miss costs ~2.3 µs on
+//! MZB and ~7.9 µs on MC (mean over all cells, one core of a 2-vCPU
+//! host). Filling the matrix takes ~1.5 s of a ~4.3 s single-threaded
+//! build over the four named venues, so the door columns dominate the
+//! build.
 //!
-//! Every cell is produced by the same kernel the live miss path calls
-//! ([`VipTree::door_dist_from`] / [`VipTree::min_dist_partition_to_node`]),
-//! so a warm hit is bit-identical to a recomputation by construction.
+//! Every cell is produced by the batched kernel the live miss path runs
+//! (behind [`VipTree::door_dists_to_partition`] and
+//! [`VipTree::min_dist_partition_to_node`]); a door column is one call
+//! with every venue door as a source. So a warm hit is bit-identical to
+//! a recomputation by construction.
 //! Fills are pure and written to disjoint slices, making the threaded
 //! build deterministic at any worker count.
 
@@ -214,9 +216,9 @@ impl VipTree<'_> {
     /// The `partition × node` minima matrix is then added all-or-nothing
     /// if it fits in whatever budget the columns left over. The result is
     /// bit-identical at any thread count: work order is fixed up front and
-    /// each worker fills disjoint slices with the pure
-    /// [`VipTree::door_dist_from`] /
-    /// [`VipTree::min_dist_partition_to_node`] kernels.
+    /// each worker fills disjoint slices with the pure kernels behind
+    /// [`VipTree::door_dist_from`] and
+    /// [`VipTree::min_dist_partition_to_node`].
     pub fn build_warm_tier(&self, budget_bytes: usize, threads: usize) -> WarmTier {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -237,16 +239,20 @@ impl VipTree<'_> {
         targets.truncate(max_targets);
 
         let mut dists = vec![0.0f64; targets.len() * num_doors];
-        let fill = |q: PartitionId, column: &mut [f64]| {
-            for (i, cell) in column.iter_mut().enumerate() {
-                *cell = self.door_dist_from(DoorId::new(i as u32), q);
-            }
-        };
         run_rows(
             threads,
             &targets,
             dists.chunks_mut(num_doors),
-            |&q, column| fill(q, column),
+            |&q, column| {
+                for (i, cell) in column.iter_mut().enumerate() {
+                    *cell = self.door_seed(DoorId::new(i as u32), q);
+                }
+                self.min_door_to_doors(
+                    venue.door_ids().map(|d| (d, d.index())),
+                    venue.partition(q).doors().iter().copied(),
+                    column,
+                );
+            },
         );
 
         // Node minima ride in whatever budget the columns left over — the
