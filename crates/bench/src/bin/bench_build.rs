@@ -21,7 +21,7 @@ use ifls_venues::{GridVenueSpec, NamedVenue};
 use ifls_viptree::{VipTree, VipTreeConfig};
 
 /// Bumped whenever a field is added, renamed, or re-interpreted.
-const SCHEMA: &str = "ifls-bench-build/v1";
+const SCHEMA: &str = "ifls-bench-build/v2";
 
 /// Thread counts measured besides the serial baseline.
 const THREADS: [usize; 2] = [2, 4];
@@ -109,6 +109,7 @@ fn bench_venue(venue: &ifls_indoor::Venue, reps: usize, dir: &std::path::Path) -
 
 fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
     use std::fmt::Write as _;
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
@@ -122,7 +123,8 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
              \"serial_build_ns\": {}, \"build_ns_2t\": {}, \"build_ns_4t\": {}, \
              \"speedup_4t\": {:.3}, \"snapshot_bytes\": {}, \"save_ns\": {}, \
              \"load_ns\": {}, \"load_speedup_vs_serial_build\": {:.3}, \
-             \"index_checksum\": \"{:016x}\", \"checksums_identical\": true}}{}",
+             \"index_checksum\": \"{:016x}\", \"checksums_identical\": true, \
+             \"available_parallelism\": {}}}{}",
             r.venue,
             r.partitions,
             r.doors,
@@ -135,6 +137,7 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
             r.load_ns,
             r.load_speedup(),
             r.index_checksum,
+            parallelism,
             comma,
         );
     }

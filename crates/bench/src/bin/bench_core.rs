@@ -26,8 +26,10 @@
 //! beats sequential dispatch of the same queries by ≥1.2x with
 //! bit-identical answers.
 //!
-//! Results go to `BENCH_core.json` (override with `--out PATH`); the schema
-//! is documented in `EXPERIMENTS.md`. `--quick` shrinks the stream for CI.
+//! Results go to `BENCH_core.json`, or with `--quick` (a shrunk stream for
+//! CI) to `target/BENCH_core_quick.json`, so a quick run never overwrites
+//! the checked-in full-run baseline; `--out PATH` overrides either. The
+//! schema is documented in `EXPERIMENTS.md`.
 
 use std::time::Instant;
 
@@ -43,7 +45,17 @@ use ifls_viptree::{DistCache, VipTree, VipTreeConfig};
 use ifls_workloads::{Workload, WorkloadBuilder};
 
 /// Bumped whenever a field is added, renamed, or re-interpreted.
-const SCHEMA: &str = "ifls-bench-core/v5";
+const SCHEMA: &str = "ifls-bench-core/v6";
+
+/// Where a run writes its rows without `--out`: quick rows never replace
+/// the checked-in full-run `BENCH_core.json`.
+fn default_out(quick: bool) -> &'static str {
+    if quick {
+        "target/BENCH_core_quick.json"
+    } else {
+        "BENCH_core.json"
+    }
+}
 
 /// Below this many samples the reported percentiles are exact order
 /// statistics over the raw per-query times (nearest-rank convention); at
@@ -328,6 +340,10 @@ fn phases_json(phases: &[SpanAgg; ifls_obs::NUM_PHASES]) -> String {
 
 fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
     use std::fmt::Write as _;
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": \"{}\",", json_escape(SCHEMA));
@@ -348,7 +364,8 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
              \"steals\": {}, \"batched_requests\": {}, \
              \"cache_hit_rate\": {}, \
              \"cache_bytes\": {}, \"cache_warm_bytes\": {}, \
-             \"index_build_ns\": {}, \"phases\": {}}}{}",
+             \"index_build_ns\": {}, \"available_parallelism\": {}, \
+             \"phases\": {}}}{}",
             json_escape(r.venue),
             json_escape(r.algorithm),
             r.threads,
@@ -366,6 +383,7 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
             r.cache_bytes,
             r.cache_warm_bytes,
             r.index_build_ns,
+            parallelism,
             phases_json(&r.phases),
             comma,
         );
@@ -401,7 +419,8 @@ fn write_md(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
     );
     let _ = writeln!(
         s,
-        "numbers match the rows written to `BENCH_core.json`. Latency percentiles come"
+        "numbers match the rows that run writes to `{}`. Latency percentiles come",
+        default_out(quick)
     );
     let _ = writeln!(
         s,
@@ -924,7 +943,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_core.json".to_string());
+        .unwrap_or_else(|| default_out(quick).to_string());
     let md_path = args
         .iter()
         .position(|a| a == "--md")

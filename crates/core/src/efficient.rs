@@ -268,15 +268,15 @@ impl ObjectivePolicy for MinMax {
 
     fn after_pop(&mut self, q: &Query<'_>, gd: f64, _pops: u64, meter: &mut MemoryMeter) -> bool {
         if !self.is_first {
+            // One span covers the list check and the pruning after it.
             let _prune = ifls_obs::span(Phase::Prune);
             self.is_first = self.check_list(gd, meter);
-        }
-        if !self.is_first {
-            // Lemma 5.1 pruning up to Gd (Algorithm 3 lines 26–28).
-            let _prune = ifls_obs::span(Phase::Prune);
-            self.advance(gd, meter);
-            self.d_low = gd;
-            return false;
+            if !self.is_first {
+                // Lemma 5.1 pruning up to Gd (Algorithm 3 lines 26–28).
+                self.advance(gd, meter);
+                self.d_low = gd;
+                return false;
+            }
         }
         let _refine = ifls_obs::span(Phase::Refine);
         self.increase_dist(q.candidates, gd, None, meter) == Ok(true)

@@ -189,8 +189,12 @@ pub(crate) struct Explorer<'t, 'v> {
     tree: &'t VipTree<'v>,
     queue: BinaryHeap<QEntry>,
     visited: HashSet<(PartitionId, Entity)>,
-    /// `iMinD` evaluations performed by `enqueue`.
+    /// `iMinD` evaluations performed by `enqueue` and `expand`.
     pub dist_computations: u64,
+    /// The unvisited children of the current expansion, and their keys.
+    fresh_parts: Vec<PartitionId>,
+    fresh_nodes: Vec<NodeId>,
+    keys: Vec<f64>,
 }
 
 impl<'t, 'v> Explorer<'t, 'v> {
@@ -201,6 +205,9 @@ impl<'t, 'v> Explorer<'t, 'v> {
             queue: BinaryHeap::new(),
             visited: HashSet::new(),
             dist_computations: 0,
+            fresh_parts: Vec::new(),
+            fresh_nodes: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -228,7 +235,8 @@ impl<'t, 'v> Explorer<'t, 'v> {
 
     /// Expands a dequeued non-facility entity for its source: the parent
     /// and all children not equal to the source (Algorithm 3 lines 14–22).
-    /// `iMinD` keys are computed through `cache`.
+    /// `iMinD` keys are computed through `cache`, the unvisited children's
+    /// in one sibling batch.
     pub fn expand(
         &mut self,
         source: PartitionId,
@@ -247,20 +255,60 @@ impl<'t, 'v> Explorer<'t, 'v> {
                 }
                 match self.tree.children(node) {
                     NodeChildren::Partitions(parts) => {
-                        for &ch in parts {
-                            if ch != source {
-                                self.enqueue(source, Entity::Part(ch), cache, meter);
-                            }
+                        self.fresh_parts.clear();
+                        self.fresh_parts.extend(parts.iter().copied().filter(|&ch| {
+                            ch != source && self.visited.insert((source, Entity::Part(ch)))
+                        }));
+                        cache.min_dists_partition_to_partitions(
+                            self.tree,
+                            source,
+                            &self.fresh_parts,
+                            &mut self.keys,
+                        );
+                        for (&ch, &key) in self.fresh_parts.iter().zip(&self.keys) {
+                            Self::push(&mut self.queue, source, Entity::Part(ch), key, meter);
                         }
+                        self.dist_computations += self.fresh_parts.len() as u64;
                     }
                     NodeChildren::Nodes(ns) => {
-                        for &ch in ns {
-                            self.enqueue(source, Entity::Node(ch), cache, meter);
+                        self.fresh_nodes.clear();
+                        self.fresh_nodes.extend(
+                            ns.iter()
+                                .copied()
+                                .filter(|&ch| self.visited.insert((source, Entity::Node(ch)))),
+                        );
+                        cache.min_dists_partition_to_nodes(
+                            self.tree,
+                            source,
+                            &self.fresh_nodes,
+                            &mut self.keys,
+                        );
+                        for (&ch, &key) in self.fresh_nodes.iter().zip(&self.keys) {
+                            Self::push(&mut self.queue, source, Entity::Node(ch), key, meter);
                         }
+                        self.dist_computations += self.fresh_nodes.len() as u64;
                     }
                 }
             }
         }
+    }
+
+    /// Queues `(source, entity)` at `key`, charging `meter` for the entry
+    /// and its visited mark.
+    #[inline]
+    fn push(
+        queue: &mut BinaryHeap<QEntry>,
+        source: PartitionId,
+        entity: Entity,
+        key: f64,
+        meter: &mut MemoryMeter,
+    ) {
+        queue.push(QEntry {
+            key,
+            source,
+            entity,
+        });
+        meter.add(Q_ENTRY_BYTES + VISITED_BYTES);
     }
 
     /// Enqueues `(source, entity)` with its `iMinD` key unless already
@@ -280,12 +328,7 @@ impl<'t, 'v> Explorer<'t, 'v> {
             Entity::Node(n) => cache.min_dist_partition_to_node(self.tree, source, n),
             Entity::Part(p) => cache.min_dist_partition_to_partition(self.tree, source, p),
         };
-        self.queue.push(QEntry {
-            key,
-            source,
-            entity,
-        });
-        meter.add(Q_ENTRY_BYTES + VISITED_BYTES);
+        Self::push(&mut self.queue, source, entity, key, meter);
     }
 }
 

@@ -95,7 +95,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// * `Refine` — `increaseDist` refinement of the answer bounds.
 /// * `CacheLookup` — kernel computation: a miss, or any lookup with the
 ///   cache off (hits are counted, not timed; see
-///   [`Counter::DistCacheHits`]).
+///   [`Counter::DistCacheHits`]). The children of one queue expansion are
+///   looked up together, so one span covers all of that batch's misses.
 ///
 /// The build-side phases cover VIP-tree construction and index snapshots
 /// (see [`Phase::BUILD`]); only the coordinator thread records them, so
@@ -120,7 +121,8 @@ pub enum Phase {
     CandidateLoop = 3,
     /// Answer-bound refinement (`increaseDist`).
     Refine = 4,
-    /// Kernel computation: a miss, or any lookup with the cache off.
+    /// Kernel computation: a miss, or any lookup with the cache off (one
+    /// span per sibling batch).
     CacheLookup = 5,
     /// VIP-tree leaf formation.
     BuildLeaves = 6,

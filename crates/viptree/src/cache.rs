@@ -289,6 +289,11 @@ pub struct DistCache {
     evictions: u64,
     /// Recompute / warm-gather buffer for values not retained locally.
     scratch: Vec<f64>,
+    /// The misses of the current sibling batch, in lookup order, and their
+    /// values from one kernel call.
+    batch_parts: Vec<PartitionId>,
+    batch_nodes: Vec<NodeId>,
+    batch_vals: Vec<f64>,
 }
 
 impl Default for DistCache {
@@ -310,6 +315,9 @@ impl DistCache {
             misses: 0,
             evictions: 0,
             scratch: Vec::new(),
+            batch_parts: Vec::new(),
+            batch_nodes: Vec::new(),
+            batch_vals: Vec::new(),
         }
     }
 
@@ -339,10 +347,26 @@ impl DistCache {
     /// The door-distance vector from each door of `p` to partition `q`
     /// (see [`VipTree::door_dists_to_partition`]), memoized.
     pub fn door_dists(&mut self, tree: &VipTree<'_>, p: PartitionId, q: PartitionId) -> &[f64] {
+        self.door_dists_or(tree, p, q, None)
+    }
+
+    /// One lookup of the `(p, q)` door vector: a warm or local hit is
+    /// counted as such, and a miss is counted, evicted for and inserted,
+    /// with `pre` as its value when the caller computed it already (a
+    /// sibling batch's) and the kernel run here otherwise.
+    fn door_dists_or<'a>(
+        &'a mut self,
+        tree: &VipTree<'_>,
+        p: PartitionId,
+        q: PartitionId,
+        pre: Option<&'a [f64]>,
+    ) -> &'a [f64] {
         if !self.enabled {
-            let _span = obs::span(Phase::CacheLookup);
-            self.scratch = tree.door_dists_to_partition(p, q);
-            return &self.scratch;
+            return pre.unwrap_or_else(|| {
+                let _span = obs::span(Phase::CacheLookup);
+                self.scratch = tree.door_dists_to_partition(p, q);
+                &self.scratch
+            });
         }
         if let Some(warm) = tree.warm_tier() {
             if warm.covers(q) {
@@ -364,12 +388,19 @@ impl DistCache {
         // The miss path is where the kernel actually runs (as is every
         // lookup with the cache off); hits are counted above but not timed
         // (a span per hit would dwarf the hit itself).
-        let _span = obs::span(Phase::CacheLookup);
-        let v = tree.door_dists_to_partition(p, q);
+        let computed;
+        let v = match pre {
+            Some(v) => v,
+            None => {
+                let _span = obs::span(Phase::CacheLookup);
+                computed = tree.door_dists_to_partition(p, q);
+                &computed
+            }
+        };
         if ifls_fault::should_fail(ifls_fault::FaultPoint::CacheInsert) {
             panic!("injected fault: cache insert");
         }
-        self.vecs.insert(key, &v)
+        self.vecs.insert(key, v)
     }
 
     /// `iMinD(p, q)` through the cache — bit-identical to
@@ -394,9 +425,26 @@ impl DistCache {
         p: PartitionId,
         n: NodeId,
     ) -> f64 {
+        self.node_min_or(tree, p, n, None)
+    }
+
+    /// One lookup of `iMinD(p, n)`, as [`Self::door_dists_or`] is of a
+    /// door vector.
+    fn node_min_or(
+        &mut self,
+        tree: &VipTree<'_>,
+        p: PartitionId,
+        n: NodeId,
+        pre: Option<f64>,
+    ) -> f64 {
+        let compute = || {
+            pre.unwrap_or_else(|| {
+                let _span = obs::span(Phase::CacheLookup);
+                tree.min_dist_partition_to_node(p, n)
+            })
+        };
         if !self.enabled {
-            let _span = obs::span(Phase::CacheLookup);
-            return tree.min_dist_partition_to_node(p, n);
+            return compute();
         }
         if let Some(warm) = tree.warm_tier() {
             if warm.has_node_mins() {
@@ -414,10 +462,88 @@ impl DistCache {
         self.misses += 1;
         obs::counter_add(Counter::DistCacheMisses, 1);
         self.maybe_evict();
-        let _span = obs::span(Phase::CacheLookup);
-        let v = tree.min_dist_partition_to_node(p, n);
+        let v = compute();
         self.mins.insert(key, v);
         v
+    }
+
+    /// `iMinD(p, q)` for every `q` of `qs`, in order, into `out`: the
+    /// values, counters, inserts and evictions of calling
+    /// [`Self::min_dist_partition_to_partition`] once per `q` in that
+    /// order. The door vectors that would miss are computed first, in one
+    /// sibling batch ([`VipTree::door_dists_to_partitions`]) under one
+    /// span; a vector that a mid-batch eviction turns from a hit into a
+    /// miss is recomputed per pair, to the same bits.
+    pub fn min_dists_partition_to_partitions(
+        &mut self,
+        tree: &VipTree<'_>,
+        p: PartitionId,
+        qs: &[PartitionId],
+        out: &mut Vec<f64>,
+    ) {
+        let warm = tree.warm_tier();
+        self.batch_parts.clear();
+        self.batch_parts.extend(qs.iter().copied().filter(|&q| {
+            q != p
+                && !(self.enabled
+                    && (warm.is_some_and(|w| w.covers(q))
+                        || self.vecs.span_of(pack(p.raw(), q.raw())).is_some()))
+        }));
+        let mut vals = std::mem::take(&mut self.batch_vals);
+        if !self.batch_parts.is_empty() {
+            let _span = obs::span(Phase::CacheLookup);
+            tree.door_dists_to_partitions(p, &self.batch_parts, &mut vals);
+        }
+        let n = tree.venue().partition(p).doors().len();
+        let mut k = 0;
+        out.clear();
+        for &q in qs {
+            if q == p {
+                out.push(0.0);
+                continue;
+            }
+            let pre = (self.batch_parts.get(k) == Some(&q)).then(|| {
+                k += 1;
+                &vals[(k - 1) * n..k * n]
+            });
+            out.push(crate::kernels::min_fold(
+                self.door_dists_or(tree, p, q, pre),
+            ));
+        }
+        self.batch_vals = vals;
+    }
+
+    /// `iMinD(p, n)` for every `n` of `ns`, in order, into `out`: the
+    /// values, counters, inserts and evictions of calling
+    /// [`Self::min_dist_partition_to_node`] once per `n` in that order,
+    /// with the misses computed first in one sibling batch
+    /// ([`VipTree::min_dists_partition_to_nodes`]), as
+    /// [`Self::min_dists_partition_to_partitions`] does.
+    pub fn min_dists_partition_to_nodes(
+        &mut self,
+        tree: &VipTree<'_>,
+        p: PartitionId,
+        ns: &[NodeId],
+        out: &mut Vec<f64>,
+    ) {
+        let warm = tree.warm_tier().is_some_and(|w| w.has_node_mins());
+        self.batch_nodes.clear();
+        self.batch_nodes.extend(ns.iter().copied().filter(|&n| {
+            !(self.enabled && (warm || self.mins.get(pack(p.raw(), n.raw())).is_some()))
+        }));
+        if !self.batch_nodes.is_empty() {
+            let _span = obs::span(Phase::CacheLookup);
+            tree.min_dists_partition_to_nodes(p, &self.batch_nodes, &mut self.batch_vals);
+        }
+        let mut k = 0;
+        out.clear();
+        for &n in ns {
+            let pre = (self.batch_nodes.get(k) == Some(&n)).then(|| {
+                k += 1;
+                self.batch_vals[k - 1]
+            });
+            out.push(self.node_min_or(tree, p, n, pre));
+        }
     }
 
     /// Exact point-to-partition distance through the cache —
@@ -548,6 +674,88 @@ mod tests {
         let direct = tree.door_dists_to_partition(p, parts[1]);
         for (a, b) in direct.iter().zip(cache.door_dists(&tree, p, parts[1])) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// Runs every expansion shape (a leaf's partitions, a node's children)
+    /// for a spread of sources, each twice in a row, batched through
+    /// `batched` and one lookup at a time through `single`, asserting
+    /// equal bits and equal stats after every batch. Returns how many
+    /// batches evicted after their first lookup.
+    fn expand_both_ways(
+        tree: &VipTree<'_>,
+        batched: &mut DistCache,
+        single: &mut DistCache,
+    ) -> u32 {
+        let venue = tree.venue();
+        let mut keys = Vec::new();
+        let mut mid_batch = 0;
+        for p in venue.partition_ids().step_by(5) {
+            for n in tree.node_ids().flat_map(|n| [n, n]) {
+                let mut want = Vec::new();
+                let mut evicted_late = false;
+                let mut lookup = |single: &mut DistCache, f: &dyn Fn(&mut DistCache) -> f64| {
+                    let before = single.stats().evictions;
+                    want.push(f(single));
+                    evicted_late |= want.len() > 1 && single.stats().evictions > before;
+                };
+                match tree.children(n) {
+                    crate::NodeChildren::Partitions(parts) => {
+                        let qs: Vec<PartitionId> =
+                            parts.iter().copied().filter(|&q| q != p).collect();
+                        batched.min_dists_partition_to_partitions(tree, p, &qs, &mut keys);
+                        for &q in &qs {
+                            lookup(single, &|c| c.min_dist_partition_to_partition(tree, p, q));
+                        }
+                    }
+                    crate::NodeChildren::Nodes(children) => {
+                        batched.min_dists_partition_to_nodes(tree, p, children, &mut keys);
+                        for &c in children {
+                            lookup(single, &|s| s.min_dist_partition_to_node(tree, p, c));
+                        }
+                    }
+                }
+                assert_eq!(keys.len(), want.len());
+                for (g, w) in keys.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "source {p}, expansion of {n}");
+                }
+                assert_eq!(
+                    batched.stats(),
+                    single.stats(),
+                    "source {p}, expansion of {n}"
+                );
+                mid_batch += u32::from(evicted_late);
+            }
+        }
+        mid_batch
+    }
+
+    #[test]
+    fn batched_expansions_keep_the_one_at_a_time_protocol() {
+        let venue = fixture();
+        let mut tree = VipTree::build(&venue, VipTreeConfig::default());
+        for bound in [1, 2, 3, 5, 64, DEFAULT_CACHE_ENTRIES] {
+            let (mut batched, mut single) = (DistCache::new(bound), DistCache::new(bound));
+            let mid_batch = expand_both_ways(&tree, &mut batched, &mut single);
+            let s = batched.stats();
+            assert!(s.misses > 0, "bound {bound}: {s:?}");
+            if bound <= 5 {
+                assert!(mid_batch > 0, "bound {bound} never evicted inside a batch");
+            }
+            if bound == DEFAULT_CACHE_ENTRIES {
+                assert!(s.hits > 0 && s.evictions == 0, "{s:?}");
+            }
+        }
+        let (mut batched, mut single) = (DistCache::disabled(), DistCache::disabled());
+        expand_both_ways(&tree, &mut batched, &mut single);
+        assert_eq!(batched.stats(), DistCacheStats::default());
+        // A budget-truncated warm tier: covered columns hit, the rest and
+        // the node bounds (dropped with the columns) go through the table.
+        let budget = venue.num_partitions() * 4 + 5 * venue.num_doors() * 8;
+        tree.set_warm_tier(Some(tree.build_warm_tier(budget, 1)));
+        for bound in [3, DEFAULT_CACHE_ENTRIES] {
+            let (mut batched, mut single) = (DistCache::new(bound), DistCache::new(bound));
+            expand_both_ways(&tree, &mut batched, &mut single);
         }
     }
 

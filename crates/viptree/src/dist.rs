@@ -49,6 +49,19 @@ impl AccessDists<'_> {
                 .for_each(|(m, &k)| *m = m.min(row[k as usize])),
         }
     }
+
+    /// `min_y r[y] + self[y]`, with `r` the same length as this view.
+    #[inline]
+    fn min_add(&self, r: &[f64]) -> f64 {
+        match self {
+            AccessDists::Dense(v) => crate::kernels::min_add2(r, v),
+            AccessDists::Gather { row, idx } => r
+                .iter()
+                .zip(*idx)
+                .map(|(&x, &k)| x + row[k as usize])
+                .fold(f64::INFINITY, f64::min),
+        }
+    }
 }
 
 /// Reusable buffers, one set per thread: the tree itself stays free of
@@ -60,40 +73,66 @@ struct DistScratch {
     a: Vec<f64>,
     b: Vec<f64>,
     tmp: Vec<f64>,
-    /// `(home leaf, row, out slot)` of each source door of the batched
-    /// kernel (`VipTree::min_door_to_doors`), sorted by leaf.
-    sources: Vec<(NodeId, u32, usize)>,
-    /// The batched kernel's targets, grouped for one source leaf at a time.
+    /// `(home leaf, row, source index)` of each source door of the batched
+    /// kernel (`VipTree::min_door_to_sets`), sorted by leaf.
+    sources: Vec<(NodeId, u32, u32)>,
+    /// The batched kernel's target sets, grouped for one source leaf at a
+    /// time.
     targets: TargetGroups,
+    /// The composition `R` at the current LCA child.
+    composed: Vec<f64>,
+    /// The source rows of one leaf folded element-wise (`Slots::PerSet`).
+    folded: Vec<f64>,
 }
 
-/// The targets of one `VipTree::min_door_to_doors` call, grouped for the
-/// current source leaf.
+/// Which slots a `VipTree::min_door_to_sets` call fills.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slots {
+    /// `out[set * sources + i]`: source door `i`'s distance to the set.
+    PerDoor,
+    /// `out[set]`: the minimum over every source door.
+    PerSet,
+}
+
+/// The target sets of one `VipTree::min_door_to_sets` call, grouped for
+/// the current source leaf.
 #[derive(Default)]
 struct TargetGroups {
-    /// `(home leaf, row)` of each target door.
-    homes: Vec<(NodeId, u32)>,
-    /// Rows of the targets homed in the current source leaf.
-    near: Vec<u32>,
-    /// The other targets, one group per LCA child met.
+    /// `(home leaf, row, set)` of each target door.
+    homes: Vec<(NodeId, u32, u32)>,
+    /// `(set, row)` of the targets homed in the current source leaf.
+    near: Vec<(u32, u32)>,
+    /// The other targets as `(depth of c2, c2, set, home leaf, row)`,
+    /// sorted so that one LCA child's targets, and within them one set's,
+    /// are adjacent, and groups that share `c1` follow each other.
+    keyed: Vec<(u32, NodeId, u32, NodeId, u32)>,
+    /// One group per LCA child met.
     groups: Vec<Group>,
-    /// The folded min-vectors of the groups, back to back.
+    /// The sets of every group, one entry per set that has members there.
+    members: Vec<Member>,
+    /// The folded min-vectors of the members, back to back.
     mins: Vec<f64>,
 }
 
-/// The targets that share `c2`, the child of their LCA with the current
-/// source leaf on the targets' side.
-#[derive(Clone, Copy)]
+/// The targets of every set that share `c2`, the child of their LCA with
+/// the current source leaf on the targets' side.
 struct Group {
     lca: NodeId,
     /// The LCA's child on the source side.
     c1: NodeId,
     c2: NodeId,
-    /// Home `(leaf, row)` of the group's first member.
+    /// This group's range in `TargetGroups::members`.
+    members: (usize, usize),
+}
+
+/// One set's targets within a [`Group`].
+struct Member {
+    set: u32,
+    /// Home `(leaf, row)` of the first target.
     first: (NodeId, u32),
-    /// Offset in `mins` of the element-wise minimum of the members'
-    /// distances to `c2`'s access doors; `None` while the group's one
-    /// member's own row can be borrowed instead.
+    /// Offset in `mins` of the element-wise minimum of the targets'
+    /// distances to `c2`'s access doors; `None` while the one target's own
+    /// row can be borrowed instead.
     folded: Option<usize>,
 }
 
@@ -278,11 +317,7 @@ impl VipTree<'_> {
     pub fn door_dists_to_partition(&self, p: PartitionId, q: PartitionId) -> Vec<f64> {
         let doors = self.venue.partition(p).doors();
         let mut out: Vec<f64> = doors.iter().map(|&d| self.door_seed(d, q)).collect();
-        self.min_door_to_doors(
-            doors.iter().copied().zip(0..),
-            self.venue.partition(q).doors().iter().copied(),
-            &mut out,
-        );
+        self.min_door_to_sets(doors, self.door_set(q, 0), Slots::PerDoor, &mut out);
         out
     }
 
@@ -294,12 +329,44 @@ impl VipTree<'_> {
     /// ([`crate::WarmTier`]), so their values cannot diverge by a bit.
     pub fn door_dist_from(&self, ds: DoorId, q: PartitionId) -> f64 {
         let mut out = [self.door_seed(ds, q)];
-        self.min_door_to_doors(
-            [(ds, 0)],
-            self.venue.partition(q).doors().iter().copied(),
-            &mut out,
-        );
+        self.min_door_to_sets(&[ds], self.door_set(q, 0), Slots::PerDoor, &mut out);
         out[0]
+    }
+
+    /// [`Self::door_dists_to_partition`]`(p, q)` for every `q` of `qs`,
+    /// back to back in `out` (`doors(p)` values per `q`; `out` is cleared
+    /// first).
+    ///
+    /// The siblings of one expansion are asked for together: each source
+    /// door composes once per LCA child, and every `q` reads that
+    /// composition.
+    pub fn door_dists_to_partitions(&self, p: PartitionId, qs: &[PartitionId], out: &mut Vec<f64>) {
+        let doors = self.venue.partition(p).doors();
+        out.clear();
+        for &q in qs {
+            out.extend(doors.iter().map(|&d| self.door_seed(d, q)));
+        }
+        self.min_door_to_sets(
+            doors,
+            qs.iter()
+                .zip(0..)
+                .flat_map(|(&q, set)| self.door_set(q, set)),
+            Slots::PerDoor,
+            out,
+        );
+    }
+
+    /// The doors of partition `q` as targets of set `set`.
+    pub(crate) fn door_set(
+        &self,
+        q: PartitionId,
+        set: u32,
+    ) -> impl Iterator<Item = (DoorId, u32)> + '_ {
+        self.venue
+            .partition(q)
+            .doors()
+            .iter()
+            .map(move |&d| (d, set))
     }
 
     /// The starting bound of door `d`'s distance to partition `q`: 0 when
@@ -339,18 +406,33 @@ impl VipTree<'_> {
     /// partition `p` to any partition inside node `N` — 0 when `N`
     /// contains `p`, otherwise the minimum door-to-access-door distance.
     pub fn min_dist_partition_to_node(&self, p: PartitionId, n: NodeId) -> f64 {
-        if self.contains_partition(n, p) {
-            return 0.0;
-        }
-        // Every source door shares the one slot, so each starts from the
-        // minimum of the doors before it.
-        let mut best = [f64::INFINITY];
-        self.min_door_to_doors(
-            self.venue.partition(p).doors().iter().map(|&d| (d, 0)),
-            self.nodes[n.index()].access_doors(),
-            &mut best,
+        let mut out = Vec::with_capacity(1);
+        self.min_dists_partition_to_nodes(p, &[n], &mut out);
+        out[0]
+    }
+
+    /// [`Self::min_dist_partition_to_node`]`(p, n)` for every `n` of `ns`,
+    /// into `out` (one value per node; cleared first). The node-bound
+    /// counterpart of [`Self::door_dists_to_partitions`]: the rows of a
+    /// source leaf's doors are folded first, so each leaf composes once
+    /// per LCA child for all of `ns`.
+    pub fn min_dists_partition_to_nodes(&self, p: PartitionId, ns: &[NodeId], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(ns.iter().map(|&n| {
+            if self.contains_partition(n, p) {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        }));
+        self.min_door_to_sets(
+            self.venue.partition(p).doors(),
+            ns.iter()
+                .zip(0..)
+                .flat_map(|(&n, set)| self.nodes[n.index()].access_doors().map(move |d| (d, set))),
+            Slots::PerSet,
+            out,
         );
-        best[0]
     }
 
     /// `iMinD` from a located point to a node: a lower bound on the
@@ -380,35 +462,52 @@ impl VipTree<'_> {
         best
     }
 
-    /// The batched kernel behind every door-to-door-set minimum. For each
-    /// `(d, slot)` of `sources` it lowers `out[slot]` to
-    /// `min_t door_to_door(d, t)` over `targets`; the slot's value on entry
-    /// is the starting bound. Sources that share a slot leave it at their
-    /// joint minimum, each starting from the minimum found before it. A
-    /// source whose slot already holds 0 is dropped: no distance is below 0.
+    /// The batched kernel behind every door-to-door-set distance: every
+    /// `(d, set)` of `targets` lowers the slots of `set` to
+    /// `min door_to_door(s, d)` over the `sources` doors `s`, either per
+    /// source door or over all of them (`slots`). A slot's value on entry
+    /// is its starting bound. A source door whose slots all hold 0, and a
+    /// per-set slot's targets once it holds 0, are dropped: no distance is
+    /// below 0. One set with `Slots::PerDoor` is one vector
+    /// ([`Self::door_dists_to_partition`], [`Self::door_dist_from`], a warm
+    /// column); the sets of a batch are the children of one expansion.
     ///
     /// The result is bit-identical to the per-pair minimum, but it is
-    /// composed once per source door and LCA child instead of once per
-    /// pair. Sources are taken one home leaf at a time:
+    /// composed once per source door (per set: once per source leaf) and
+    /// LCA child instead of once per pair. Sources are taken one home leaf
+    /// at a time:
     /// * Targets homed in that leaf read the leaf matrix, as
     ///   [`Self::door_to_door`] does.
-    /// * The others are grouped by `c2`, the child of
-    ///   `LCA(leaf, leaf(t))` that holds `t`. Each member's distances to
-    ///   `c2`'s access doors (its vivid row, or the IP-tree climb) are
-    ///   folded element-wise into the group's min-vector `w`. A group
-    ///   with one member keeps its member's own row, with no copy.
-    /// * Every source door of the leaf composes once per group at the LCA.
+    /// * The others are grouped by `c2`, the child of `LCA(leaf, leaf(t))`
+    ///   that holds `t`, and within a group by set. Each set's members'
+    ///   distances to `c2`'s access doors (their vivid rows, or the IP-tree
+    ///   climbs) are folded element-wise into one min-vector `w`; a set
+    ///   with one member keeps that member's own row, with no copy.
+    /// * Per door, the source side `v1` is the door's row to `c1`, the
+    ///   LCA's child on the source side; per set, it is the element-wise
+    ///   minimum of the leaf's source rows. A group that one set reads is
+    ///   composed straight through, `min_{x,y} (v1[x] + M[x, y] + w[y])`
+    ///   with `M` the LCA's matrix. A group that several sets read is
+    ///   composed once, `R[y] = min_x (v1[x] + M[x, y])`, and each set
+    ///   reads `min_y (R[y] + w[y])` with one min-add.
     ///
     /// Rounding to nearest never decreases when an operand increases, so
-    /// `fl(fl(v1[x] + M[x, y]) + w[y])` equals
-    /// `min_t fl(fl(v1[x] + M[x, y]) + v_t[y])` exactly. Min is exact, and
-    /// a starting bound only skips rows that cannot go below it.
-    pub(crate) fn min_door_to_doors(
+    /// `fl(min_x fl(v1[x] + M[x, y]) + w[y])` equals
+    /// `min_x fl(fl(v1[x] + M[x, y]) + w[y])`, and the folds of `v1` and
+    /// `w` commute with the sums the same way. Min is exact, and a row
+    /// whose leg `v1[x]` reaches every slot it could lower is skipped.
+    pub(crate) fn min_door_to_sets(
         &self,
-        sources: impl IntoIterator<Item = (DoorId, usize)>,
-        targets: impl IntoIterator<Item = DoorId>,
+        sources: &[DoorId],
+        targets: impl IntoIterator<Item = (DoorId, u32)>,
+        slots: Slots,
         out: &mut [f64],
     ) {
+        let n = sources.len();
+        let slot = |set: u32, i: u32| match slots {
+            Slots::PerDoor => set as usize * n + i as usize,
+            Slots::PerSet => set as usize,
+        };
         DIST_SCRATCH.with(|s| {
             let DistScratch {
                 a,
@@ -416,62 +515,90 @@ impl VipTree<'_> {
                 tmp,
                 sources: src,
                 targets: t,
+                composed: r,
+                folded: u,
             } = &mut *s.borrow_mut();
+            t.homes.clear();
+            t.homes.extend(
+                targets
+                    .into_iter()
+                    .filter(|&(_, set)| slots == Slots::PerDoor || out[set as usize] > 0.0)
+                    .map(|(d, set)| {
+                        let (leaf, row) = self.door_home[d.index()];
+                        (leaf, row, set)
+                    }),
+            );
+            if t.homes.is_empty() {
+                return;
+            }
+            let sets = out.len() / n.max(1);
             src.clear();
             src.extend(
                 sources
-                    .into_iter()
-                    .filter(|&(_, slot)| out[slot] > 0.0)
-                    .map(|(d, slot)| {
+                    .iter()
+                    .zip(0..)
+                    .filter(|&(_, i)| {
+                        slots == Slots::PerSet
+                            || (0..sets as u32).any(|set| out[slot(set, i)] > 0.0)
+                    })
+                    .map(|(d, i)| {
                         let (leaf, row) = self.door_home[d.index()];
-                        (leaf, row, slot)
+                        (leaf, row, i)
                     }),
             );
-            if src.is_empty() {
-                return;
-            }
             src.sort_unstable_by_key(|&(leaf, ..)| leaf);
-            t.homes.clear();
-            t.homes
-                .extend(targets.into_iter().map(|d| self.door_home[d.index()]));
             for run in src.chunk_by(|x, y| x.0 == y.0) {
                 let l1 = run[0].0;
                 self.group_targets(l1, t, b, tmp);
-                let (near, groups, mins) = (&t.near, &t.groups, &t.mins);
                 let leaf1 = self.mat(l1);
-                for &(_, i1, slot) in run {
-                    let i1 = i1 as usize;
-                    let mut best = out[slot];
-                    for &i2 in near {
-                        let d = leaf1.dist(i1, i2 as usize);
-                        if d < best {
-                            best = d;
+                for &(_, i1, i) in run {
+                    for &(set, i2) in &t.near {
+                        let d = leaf1.dist(i1 as usize, i2 as usize);
+                        let o = &mut out[slot(set, i)];
+                        if d < *o {
+                            *o = d;
                         }
                     }
-                    for g in groups {
-                        let w = match g.folded {
-                            Some(off) => {
-                                AccessDists::Dense(&mins[off..off + self.num_access_doors(g.c2)])
+                }
+                match slots {
+                    Slots::PerDoor => {
+                        for &(_, i1, i) in run {
+                            // `a` holds this door's climb to `climbed`.
+                            let mut climbed = None;
+                            for g in &t.groups {
+                                let v1 = if self.config.vivid || g.c1 == l1 {
+                                    self.access_dists(l1, i1 as usize, g.c1)
+                                } else {
+                                    if climbed != Some(g.c1) {
+                                        self.climb_into(l1, i1 as usize, g.c1, a, tmp);
+                                        climbed = Some(g.c1);
+                                    }
+                                    AccessDists::Dense(a.as_slice())
+                                };
+                                self.lower_group(g, t, &v1, r, out, |set| slot(set, i));
                             }
-                            None => self.access_dists(g.first.0, g.first.1 as usize, g.c2),
-                        };
-                        let v1 = if self.config.vivid || g.c1 == l1 {
-                            self.access_dists(l1, i1, g.c1)
-                        } else {
-                            self.climb_into(l1, i1, g.c1, a, tmp);
-                            AccessDists::Dense(a.as_slice())
-                        };
-                        best = self.compose_at_lca(g.lca, g.c1, g.c2, &v1, &w, best);
+                        }
                     }
-                    out[slot] = best;
+                    Slots::PerSet => {
+                        // `u` holds the leaf's rows to `folded`, folded.
+                        let mut folded = None;
+                        for g in &t.groups {
+                            if folded != Some(g.c1) {
+                                self.fold_sources(l1, run, g.c1, u, a, tmp);
+                                folded = Some(g.c1);
+                            }
+                            let v1 = AccessDists::Dense(u.as_slice());
+                            self.lower_group(g, t, &v1, r, out, |set| set as usize);
+                        }
+                    }
                 }
             }
         })
     }
 
-    /// Sorts the targets for source leaf `l1` into `t.near` and
-    /// `t.groups`, folding the members of each group with more than one
-    /// into `t.mins`.
+    /// Sorts the targets of every set for source leaf `l1` into `t.near`
+    /// and `t.groups`, folding each set's members of a group into `t.mins`
+    /// unless one member's own row can be borrowed.
     fn group_targets(
         &self,
         l1: NodeId,
@@ -482,42 +609,51 @@ impl VipTree<'_> {
         let TargetGroups {
             homes,
             near,
+            keyed,
             groups,
+            members,
             mins,
         } = t;
         near.clear();
+        keyed.clear();
         groups.clear();
+        members.clear();
         mins.clear();
-        for &(l2, i2) in homes.iter() {
+        for &(l2, i2, set) in homes.iter() {
             if l2 == l1 {
-                near.push(i2);
+                near.push((set, i2));
                 continue;
             }
-            let lca = self.lca(l1, l2);
-            let below = self.depth(lca) + 1;
-            let c2 = self.ancestor_at_depth(l2, below);
-            match groups.iter_mut().find(|g| g.c2 == c2) {
-                Some(g) => {
-                    let off = match g.folded {
-                        Some(off) => off,
-                        None => self.fold_target(g.first, c2, None, mins, b, tmp),
-                    };
-                    g.folded = Some(self.fold_target((l2, i2), c2, Some(off), mins, b, tmp));
-                }
-                None => {
-                    // An IP-tree member off the LCA's child has no row to
-                    // borrow: its climb lands in `mins`.
-                    let folded = (!self.config.vivid && c2 != l2)
-                        .then(|| self.fold_target((l2, i2), c2, None, mins, b, tmp));
-                    groups.push(Group {
-                        lca,
-                        c1: self.ancestor_at_depth(l1, below),
-                        c2,
-                        first: (l2, i2),
-                        folded,
-                    });
-                }
+            let below = self.depth(self.lca(l1, l2)) + 1;
+            keyed.push((below, self.ancestor_at_depth(l2, below), set, l2, i2));
+        }
+        keyed.sort_unstable();
+        for group in keyed.chunk_by(|x, y| x.1 == y.1) {
+            let (below, c2) = (group[0].0, group[0].1);
+            let start = members.len();
+            for set in group.chunk_by(|x, y| x.2 == y.2) {
+                let first = (set[0].3, set[0].4);
+                // An IP-tree member off the LCA's child has no row to
+                // borrow: its climb lands in `mins`.
+                let folded = (set.len() > 1 || (!self.config.vivid && c2 != first.0)).then(|| {
+                    let off = self.fold_target(first, c2, None, mins, b, tmp);
+                    for &(.., l2, i2) in &set[1..] {
+                        self.fold_target((l2, i2), c2, Some(off), mins, b, tmp);
+                    }
+                    off
+                });
+                members.push(Member {
+                    set: set[0].2,
+                    first,
+                    folded,
+                });
             }
+            groups.push(Group {
+                lca: self.parent(c2).expect("c2 is below its LCA"),
+                c1: self.ancestor_at_depth(l1, below),
+                c2,
+                members: (start, members.len()),
+            });
         }
     }
 
@@ -546,6 +682,92 @@ impl VipTree<'_> {
             AccessDists::Dense(b.as_slice()).min_into(w);
         }
         off
+    }
+
+    /// Folds the distances from every source door of `run` (all homed in
+    /// leaf `l1`) to `c1`'s access doors element-wise into `u`.
+    fn fold_sources(
+        &self,
+        l1: NodeId,
+        run: &[(NodeId, u32, u32)],
+        c1: NodeId,
+        u: &mut Vec<f64>,
+        a: &mut Vec<f64>,
+        tmp: &mut Vec<f64>,
+    ) {
+        u.clear();
+        u.resize(self.num_access_doors(c1), f64::INFINITY);
+        for &(_, i1, _) in run {
+            if self.config.vivid || c1 == l1 {
+                self.access_dists(l1, i1 as usize, c1).min_into(u);
+            } else {
+                self.climb_into(l1, i1 as usize, c1, a, tmp);
+                AccessDists::Dense(a.as_slice()).min_into(u);
+            }
+        }
+    }
+
+    /// Lowers the slots of `g`'s sets (`slot` maps a set to its slot) to
+    /// their distances through `g`'s LCA from the source side `v1`.
+    #[inline]
+    fn lower_group(
+        &self,
+        g: &Group,
+        t: &TargetGroups,
+        v1: &AccessDists<'_>,
+        r: &mut Vec<f64>,
+        out: &mut [f64],
+        slot: impl Fn(u32) -> usize,
+    ) {
+        let w = |m: &Member| match m.folded {
+            Some(off) => AccessDists::Dense(&t.mins[off..off + self.num_access_doors(g.c2)]),
+            None => self.access_dists(m.first.0, m.first.1 as usize, g.c2),
+        };
+        let members = &t.members[g.members.0..g.members.1];
+        if let [m] = members {
+            let o = &mut out[slot(m.set)];
+            *o = self.compose_at_lca(g.lca, g.c1, g.c2, v1, &w(m), *o);
+            return;
+        }
+        let bound = members.iter().map(|m| out[slot(m.set)]).fold(0.0, f64::max);
+        if bound <= 0.0 || !self.compose_row(g, v1, bound, r) {
+            return;
+        }
+        for m in members {
+            let d = w(m).min_add(r);
+            let o = &mut out[slot(m.set)];
+            if d < *o {
+                *o = d;
+            }
+        }
+    }
+
+    /// Fills `r` with `R[y] = min_x (v1[x] + M[x, y])` over `g.c1`'s access
+    /// doors `x` and `g.c2`'s access doors `y`, `M` being the LCA's matrix.
+    /// Rows with `v1[x] >= bound` are left out; returns `false` when all
+    /// were.
+    fn compose_row(&self, g: &Group, v1: &AccessDists<'_>, bound: f64, r: &mut Vec<f64>) -> bool {
+        let pos1 = self.access_positions_in_parent(g.lca, g.c1);
+        let pos2 = self.access_positions_in_parent(g.lca, g.c2);
+        let mat = self.mat(g.lca);
+        r.clear();
+        r.resize(pos2.len(), f64::INFINITY);
+        let mut any = false;
+        for (x, &p1) in pos1.iter().enumerate() {
+            let a = v1.get(x);
+            if a >= bound {
+                continue;
+            }
+            any = true;
+            let row = mat.dist_row(p1 as usize);
+            for (ry, &p2) in r.iter_mut().zip(pos2) {
+                let t = a + row[p2 as usize];
+                if t < *ry {
+                    *ry = t;
+                }
+            }
+        }
+        any
     }
 }
 

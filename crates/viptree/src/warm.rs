@@ -20,24 +20,26 @@
 //! expansion. It has no per-door structure to share, but it is small
 //! (`partitions × nodes`, ~4 MiB on MZB) and every queue expansion asks
 //! for it, so the whole matrix is precomputed all-or-nothing from
-//! whatever budget the door columns leave over. A miss costs ~2.3 µs on
-//! MZB and ~7.9 µs on MC (mean over all cells, one core of a 2-vCPU
-//! host). Filling the matrix takes ~1.5 s of a ~4.3 s single-threaded
-//! build over the four named venues, so the door columns dominate the
-//! build.
+//! whatever budget the door columns leave over. Its row for a partition
+//! is filled with one sibling batch per inner node
+//! ([`VipTree::min_dists_partition_to_nodes`]), as `Explorer::expand`
+//! asks for a node's children; the whole single-threaded build over the
+//! four named venues takes ~3.1–3.5 s (one core of a 2-vCPU host), and
+//! the door columns dominate it.
 //!
-//! Every cell is produced by the batched kernel the live miss path runs
-//! (behind [`VipTree::door_dists_to_partition`] and
-//! [`VipTree::min_dist_partition_to_node`]); a door column is one call
-//! with every venue door as a source. So a warm hit is bit-identical to
-//! a recomputation by construction.
+//! Every cell is produced by the kernel the live miss path runs (behind
+//! [`VipTree::door_dists_to_partition`] and
+//! [`VipTree::min_dist_partition_to_node`]): a door column is one call
+//! with every venue door as a source. So a warm hit equals a
+//! recomputation bit for bit.
 //! Fills are pure and written to disjoint slices, making the threaded
 //! build deterministic at any worker count.
 
 use ifls_indoor::{DoorId, PartitionId, Venue};
 
+use crate::dist::Slots;
 use crate::tree::VipTree;
-use crate::NodeId;
+use crate::{NodeChildren, NodeId};
 
 /// Column marker for "partition not covered by the warm tier".
 const NO_COLUMN: u32 = u32::MAX;
@@ -216,9 +218,9 @@ impl VipTree<'_> {
     /// The `partition × node` minima matrix is then added all-or-nothing
     /// if it fits in whatever budget the columns left over. The result is
     /// bit-identical at any thread count: work order is fixed up front and
-    /// each worker fills disjoint slices with the pure kernels behind
+    /// each worker fills disjoint slices with the pure kernel behind
     /// [`VipTree::door_dist_from`] and
-    /// [`VipTree::min_dist_partition_to_node`].
+    /// [`VipTree::min_dists_partition_to_nodes`].
     pub fn build_warm_tier(&self, budget_bytes: usize, threads: usize) -> WarmTier {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -239,19 +241,16 @@ impl VipTree<'_> {
         targets.truncate(max_targets);
 
         let mut dists = vec![0.0f64; targets.len() * num_doors];
+        let doors: Vec<DoorId> = venue.door_ids().collect();
         run_rows(
             threads,
             &targets,
             dists.chunks_mut(num_doors),
             |&q, column| {
-                for (i, cell) in column.iter_mut().enumerate() {
-                    *cell = self.door_seed(DoorId::new(i as u32), q);
+                for (cell, &d) in column.iter_mut().zip(&doors) {
+                    *cell = self.door_seed(d, q);
                 }
-                self.min_door_to_doors(
-                    venue.door_ids().map(|d| (d, d.index())),
-                    venue.partition(q).doors().iter().copied(),
-                    column,
-                );
+                self.min_door_to_sets(&doors, self.door_set(q, 0), Slots::PerDoor, column);
             },
         );
 
@@ -269,8 +268,18 @@ impl VipTree<'_> {
                 &parts,
                 node_mins.chunks_mut(num_nodes),
                 |&p, row| {
-                    for (i, cell) in row.iter_mut().enumerate() {
-                        *cell = self.min_dist_partition_to_node(p, NodeId::new(i as u32));
+                    // Every node but the root is some node's child, so one
+                    // sibling batch per inner node fills the rest of the row.
+                    let root = self.root();
+                    row[root.index()] = self.min_dist_partition_to_node(p, root);
+                    let mut keys = Vec::new();
+                    for n in self.node_ids() {
+                        if let NodeChildren::Nodes(children) = self.children(n) {
+                            self.min_dists_partition_to_nodes(p, children, &mut keys);
+                            for (c, &key) in children.iter().zip(&keys) {
+                                row[c.index()] = key;
+                            }
+                        }
                     }
                 },
             );

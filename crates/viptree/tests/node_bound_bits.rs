@@ -5,7 +5,10 @@
 //! * `door_dists_to_partition(p, q)` and `door_dist_from(d, q)`:
 //!   `door_to_door` from each source door to every door of `q`, or 0 when
 //!   the door opens into `q`;
-//! * every warm-tier cell, at any fill thread count.
+//! * every warm-tier cell, at any fill thread count;
+//! * the sibling batches of every expansion shape: a leaf's partitions as
+//!   one `door_dists_to_partitions` call and a node's children as one
+//!   `min_dists_partition_to_nodes` call, for every source partition.
 //!
 //! The references below use only the public API, so they pin the grouped
 //! composition inside the tree against the plain definition on every
@@ -13,7 +16,7 @@
 
 use ifls_indoor::{DoorId, IndoorPoint, PartitionId, Point, Venue};
 use ifls_venues::{GridVenueSpec, NamedVenue, RandomVenueSpec};
-use ifls_viptree::{VipTree, VipTreeConfig, DEFAULT_WARM_BUDGET_BYTES};
+use ifls_viptree::{NodeChildren, NodeId, VipTree, VipTreeConfig, DEFAULT_WARM_BUDGET_BYTES};
 
 /// The default VIP-tree and the IP-tree.
 fn both() -> [VipTreeConfig; 2] {
@@ -90,6 +93,20 @@ fn check_venue(label: &str, venue: &Venue, configs: &[VipTreeConfig]) {
     }
 }
 
+/// The per-pair definition of `min_dist_partition_to_node(p, n)`.
+fn per_pair_node_min(tree: &VipTree<'_>, p: PartitionId, n: NodeId) -> f64 {
+    if tree.contains_partition(n, p) {
+        return 0.0;
+    }
+    let mut best = f64::INFINITY;
+    for &ds in tree.venue().partition(p).doors() {
+        for a in tree.access_doors(n) {
+            best = best.min(tree.door_to_door(ds, a));
+        }
+    }
+    best
+}
+
 /// The per-pair definition of `door_dist_from(ds, q)`.
 fn per_pair_door_dist(tree: &VipTree<'_>, ds: DoorId, q: PartitionId) -> f64 {
     let venue = tree.venue();
@@ -135,6 +152,63 @@ fn check_door_vectors(label: &str, venue: &Venue, configs: &[VipTreeConfig]) {
                         "{label} {cfg:?}: door_dists_to_partition({p}, {q}) at {d} = {g}, \
                          per-pair {want}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Checks the sibling batches of every expansion shape: for every source
+/// partition `p`, each leaf's partitions other than `p` as one door-vector
+/// batch and each node's children as one bound batch, value by value
+/// against the per-pair minimum.
+fn check_sibling_batches(label: &str, venue: &Venue, configs: &[VipTreeConfig]) {
+    for &cfg in configs {
+        let tree = VipTree::build(venue, cfg);
+        let expected: Vec<Vec<f64>> = venue
+            .partition_ids()
+            .map(|q| {
+                venue
+                    .door_ids()
+                    .map(|d| per_pair_door_dist(&tree, d, q))
+                    .collect()
+            })
+            .collect();
+        let (mut vectors, mut bounds) = (Vec::new(), Vec::new());
+        for p in venue.partition_ids() {
+            let doors = venue.partition(p).doors();
+            for n in tree.node_ids() {
+                match tree.children(n) {
+                    NodeChildren::Partitions(parts) => {
+                        let qs: Vec<PartitionId> =
+                            parts.iter().copied().filter(|&q| q != p).collect();
+                        tree.door_dists_to_partitions(p, &qs, &mut vectors);
+                        assert_eq!(vectors.len(), qs.len() * doors.len(), "{label}");
+                        for (&q, got) in qs.iter().zip(vectors.chunks(doors.len().max(1))) {
+                            for (&d, g) in doors.iter().zip(got) {
+                                let want = expected[q.index()][d.index()];
+                                assert_eq!(
+                                    g.to_bits(),
+                                    want.to_bits(),
+                                    "{label} {cfg:?}: leaf {n} batch, ({p} at {d}, {q}) = {g}, \
+                                     per-pair {want}"
+                                );
+                            }
+                        }
+                    }
+                    NodeChildren::Nodes(children) => {
+                        tree.min_dists_partition_to_nodes(p, children, &mut bounds);
+                        assert_eq!(bounds.len(), children.len(), "{label}");
+                        for (&c, got) in children.iter().zip(&bounds) {
+                            let want = per_pair_node_min(&tree, p, c);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{label} {cfg:?}: node {n} batch, iMinD({p}, {c}) = {got}, \
+                                 per-pair {want}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -256,5 +330,23 @@ fn warm_cells_match_the_kernels_at_one_and_two_threads() {
     for (label, venue) in random_cases() {
         check_warm_cells(&label, &venue, &both());
         check_warm_cells(&label, &venue, &deep());
+    }
+}
+
+#[test]
+fn sibling_batches_match_the_per_pair_minimum_on_a_grid() {
+    check_sibling_batches("grid", &GridVenueSpec::new("t", 3, 40).build(), &both());
+}
+
+#[test]
+fn sibling_batches_match_the_per_pair_minimum_on_cph() {
+    check_sibling_batches("cph", &NamedVenue::CPH.build(), &both());
+}
+
+#[test]
+fn sibling_batches_match_the_per_pair_minimum_on_random_venues() {
+    for (label, venue) in random_cases() {
+        check_sibling_batches(&label, &venue, &both());
+        check_sibling_batches(&label, &venue, &deep());
     }
 }
