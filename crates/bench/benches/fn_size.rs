@@ -1,13 +1,13 @@
 //! Fig. 7c microbenchmark: query time vs candidate-location count
-//! (Melbourne Central, synthetic setting), including the candidate-sharded
-//! parallel solver (`--threads N` to pin the worker count).
+//! (Melbourne Central, synthetic setting), efficient solver against the
+//! §4 baseline.
 
 mod common;
 
-use ifls_bench::harness::{threads_arg, BenchmarkId, Criterion};
+use ifls_bench::harness::{BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ifls_core::{parallel::default_threads, EfficientIfls, MinMax, ModifiedMinMax, ParallelSolver};
+use ifls_core::{EfficientIfls, ModifiedMinMax};
 use ifls_venues::NamedVenue;
 use ifls_viptree::{VipTree, VipTreeConfig};
 use ifls_workloads::{ParameterGrid, WorkloadBuilder};
@@ -35,15 +35,6 @@ fn bench(c: &mut Criterion) {
                 black_box(ModifiedMinMax::new(&tree).run(&w.clients, &w.existing, &w.candidates))
             })
         });
-        let threads = threads_arg(default_threads());
-        let solver = ParallelSolver::with_threads(&tree, threads);
-        group.bench_with_input(
-            BenchmarkId::new(format!("parallel_t{threads}"), fn_),
-            &w,
-            |b, w| {
-                b.iter(|| black_box(solver.run::<MinMax>(&w.clients, &w.existing, &w.candidates)))
-            },
-        );
     }
     group.finish();
 }

@@ -11,9 +11,10 @@
 //!
 //! The venue set is the paper's four named venues plus one parametric
 //! grid large enough for the parallel fan-out to matter; `--quick` keeps
-//! just two named venues for CI. Results go to `BENCH_build.json`
-//! (override with `--out PATH`); the schema is documented in
-//! `EXPERIMENTS.md`.
+//! just two named venues for CI. Results go to `BENCH_build.json`, or
+//! with `--quick` to `target/BENCH_build_quick.json`, so a quick run never
+//! overwrites the checked-in full-run baseline; `--out PATH` overrides
+//! either. The schema is documented in `EXPERIMENTS.md`.
 
 use std::time::Instant;
 
@@ -154,7 +155,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_build.json".to_string());
+        .unwrap_or_else(|| ifls_bench::default_out("build", quick));
 
     let dir = std::env::temp_dir().join(format!("ifls-bench-build-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

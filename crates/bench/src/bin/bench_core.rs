@@ -47,16 +47,6 @@ use ifls_workloads::{Workload, WorkloadBuilder};
 /// Bumped whenever a field is added, renamed, or re-interpreted.
 const SCHEMA: &str = "ifls-bench-core/v6";
 
-/// Where a run writes its rows without `--out`: quick rows never replace
-/// the checked-in full-run `BENCH_core.json`.
-fn default_out(quick: bool) -> &'static str {
-    if quick {
-        "target/BENCH_core_quick.json"
-    } else {
-        "BENCH_core.json"
-    }
-}
-
 /// Below this many samples the reported percentiles are exact order
 /// statistics over the raw per-query times (nearest-rank convention); at
 /// or above it they come from the log2 latency histogram with
@@ -420,7 +410,7 @@ fn write_md(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
     let _ = writeln!(
         s,
         "numbers match the rows that run writes to `{}`. Latency percentiles come",
-        default_out(quick)
+        ifls_bench::default_out("core", quick)
     );
     let _ = writeln!(
         s,
@@ -943,7 +933,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| default_out(quick).to_string());
+        .unwrap_or_else(|| ifls_bench::default_out("core", quick));
     let md_path = args
         .iter()
         .position(|a| a == "--md")

@@ -8,16 +8,16 @@
 //! reports min / median / max per iteration.
 //!
 //! Bench binaries also understand a `--threads N` argument (see
-//! [`threads_arg`]) so the parallel solver benches can be pinned to a
-//! worker count: `cargo bench --bench fn_size -- --threads 4`.
+//! [`threads_arg`]) so the batch-runner bench can be pinned to a worker
+//! count: `cargo bench --bench viptree_ops -- --threads 4`.
 
 use std::fmt::Display;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Worker-thread count for parallel benches: the value of a `--threads N`
-/// (or `--threads=N`) CLI argument, else the `IFLS_THREADS` environment
-/// variable, else `default`.
+/// Worker-thread count for multi-threaded benches: the value of a
+/// `--threads N` (or `--threads=N`) CLI argument, else the `IFLS_THREADS`
+/// environment variable, else `default`.
 pub fn threads_arg(default: usize) -> usize {
     let mut args = std::env::args();
     while let Some(a) = args.next() {

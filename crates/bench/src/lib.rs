@@ -27,3 +27,31 @@ pub mod report;
 
 pub use measure::{AlgoStats, Row, Scale};
 pub use report::Table;
+
+/// Where a `bench_<name>` binary writes its rows without `--out`: a full
+/// run writes `BENCH_<name>.json`, a `--quick` run
+/// `target/BENCH_<name>_quick.json`, so quick rows never replace the
+/// checked-in full-run baseline.
+pub fn default_out(name: &str, quick: bool) -> String {
+    if quick {
+        format!("target/BENCH_{name}_quick.json")
+    } else {
+        format!("BENCH_{name}.json")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn quick_runs_write_under_target() {
+        assert_eq!(super::default_out("build", false), "BENCH_build.json");
+        assert_eq!(
+            super::default_out("build", true),
+            "target/BENCH_build_quick.json"
+        );
+        assert_eq!(
+            super::default_out("core", true),
+            "target/BENCH_core_quick.json"
+        );
+    }
+}

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use ifls_core::api::{Algorithm, Objective};
+
 /// Usage text printed on parse errors.
 pub const USAGE: &str = "\
 usage: ifls <command> [options]
@@ -26,8 +28,7 @@ venue specs:
 
 query options:
   --objective minmax|mindist|maxsum   (default minmax)
-  --algorithm efficient|baseline|brute|parallel (default efficient)
-  --threads N        worker threads for --algorithm parallel (0 = all cores)
+  --algorithm efficient|baseline|brute   (default efficient)
   --clients N        number of clients (default 1000)
   --sigma S          normal distribution; omit for uniform clients
   --fe N             existing facilities (default 10)
@@ -237,12 +238,10 @@ impl Default for ServeArgs {
 /// Workload and solver options for `ifls query`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CommonArgs {
-    /// Objective: `minmax`, `mindist` or `maxsum`.
-    pub objective: String,
-    /// Algorithm: `efficient`, `baseline`, `brute` or `parallel`.
-    pub algorithm: String,
-    /// Worker threads for the parallel solver (`0` = all available cores).
-    pub threads: usize,
+    /// Objective (`--objective`, parsed by [`Objective::parse`]).
+    pub objective: Objective,
+    /// Solver family (`--algorithm`, parsed by [`Algorithm::parse`]).
+    pub algorithm: Algorithm,
     /// Client count.
     pub clients: usize,
     /// Normal σ (uniform when `None`).
@@ -302,9 +301,8 @@ pub enum MetricsFormat {
 impl Default for CommonArgs {
     fn default() -> Self {
         Self {
-            objective: "minmax".into(),
-            algorithm: "efficient".into(),
-            threads: 0,
+            objective: Objective::MinMax,
+            algorithm: Algorithm::Efficient,
             clients: 1000,
             sigma: None,
             fe: 10,
@@ -386,8 +384,18 @@ impl<'a> Cursor<'a> {
     }
 
     fn parsed<T: std::str::FromStr>(&mut self, option: &str) -> Result<T, ParseError> {
+        self.named(option, |v| v.parse().ok())
+    }
+
+    /// Reads `option`'s value through `parse`, e.g. a name table such as
+    /// [`Objective::parse`].
+    fn named<T>(
+        &mut self,
+        option: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, ParseError> {
         let v = self.value(option)?;
-        v.parse().map_err(|_| ParseError::BadValue {
+        parse(v).ok_or_else(|| ParseError::BadValue {
             option: option.to_string(),
             value: v.to_string(),
         })
@@ -422,9 +430,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             while let Some(opt) = cur.next() {
                 match opt {
                     "--venue" => venue = Some(cur.value("--venue")?.to_string()),
-                    "--objective" => a.objective = cur.value("--objective")?.to_string(),
-                    "--algorithm" => a.algorithm = cur.value("--algorithm")?.to_string(),
-                    "--threads" => a.threads = cur.parsed("--threads")?,
+                    "--objective" => a.objective = cur.named("--objective", Objective::parse)?,
+                    "--algorithm" => a.algorithm = cur.named("--algorithm", Algorithm::parse)?,
                     "--clients" => a.clients = cur.parsed("--clients")?,
                     "--sigma" => a.sigma = Some(cur.parsed("--sigma")?),
                     "--fe" => a.fe = cur.parsed("--fe")?,
@@ -443,18 +450,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         a.metrics_out = Some(cur.value("--metrics-out")?.to_string())
                     }
                     "--metrics-format" => {
-                        let value = cur.value("--metrics-format")?;
-                        a.metrics_format = match value {
-                            "text" => MetricsFormat::Text,
-                            "jsonl" => MetricsFormat::Jsonl,
-                            "prom" => MetricsFormat::Prom,
-                            _ => {
-                                return Err(ParseError::BadValue {
-                                    option: "--metrics-format".into(),
-                                    value: value.to_string(),
-                                })
-                            }
-                        };
+                        a.metrics_format = cur.named("--metrics-format", |v| match v {
+                            "text" => Some(MetricsFormat::Text),
+                            "jsonl" => Some(MetricsFormat::Jsonl),
+                            "prom" => Some(MetricsFormat::Prom),
+                            _ => None,
+                        })?
                     }
                     "--stats-json" => a.stats_json = true,
                     "--index" => a.index = Some(cur.value("--index")?.to_string()),
@@ -470,21 +471,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--strict" => a.strict = true,
                     other => return Err(ParseError::UnknownOption(other.to_string())),
                 }
-            }
-            if !matches!(a.objective.as_str(), "minmax" | "mindist" | "maxsum") {
-                return Err(ParseError::BadValue {
-                    option: "--objective".into(),
-                    value: a.objective,
-                });
-            }
-            if !matches!(
-                a.algorithm.as_str(),
-                "efficient" | "baseline" | "brute" | "parallel"
-            ) {
-                return Err(ParseError::BadValue {
-                    option: "--algorithm".into(),
-                    value: a.algorithm,
-                });
             }
             Ok(Command::Query {
                 venue: venue.ok_or(ParseError::MissingOption("--venue"))?,
@@ -679,8 +665,8 @@ mod tests {
                 assert_eq!(args.clients, 50);
                 assert_eq!(args.sigma, Some(0.5));
                 assert_eq!(args.top, 3);
-                assert_eq!(args.objective, "minmax");
-                assert_eq!(args.algorithm, "efficient");
+                assert_eq!(args.objective, Objective::MinMax);
+                assert_eq!(args.algorithm, Algorithm::Efficient);
                 assert!(args.dist_cache);
             }
             other => panic!("unexpected {other:?}"),
@@ -711,36 +697,6 @@ mod tests {
                 "{command}"
             );
         }
-    }
-
-    #[test]
-    fn parses_parallel_algorithm_with_threads() {
-        let cmd = parse(&v(&[
-            "query",
-            "--venue",
-            "grid:2x20",
-            "--algorithm",
-            "parallel",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Query { args, .. } => {
-                assert_eq!(args.algorithm, "parallel");
-                assert_eq!(args.threads, 4);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Default is 0 (auto-detect all cores).
-        match parse(&v(&["query", "--venue", "grid:2x20"])).unwrap() {
-            Command::Query { args, .. } => assert_eq!(args.threads, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(
-            parse(&v(&["query", "--venue", "x", "--threads", "many"])),
-            Err(ParseError::BadValue { .. })
-        ));
     }
 
     #[test]
@@ -1035,6 +991,14 @@ mod tests {
             parse(&v(&["query", "--venue", "x", "--algorithm", "magic"])),
             Err(ParseError::BadValue { .. })
         ));
+        // One query runs on one thread: no sharded solver to select.
+        assert_eq!(
+            parse(&v(&["query", "--venue", "x", "--algorithm", "parallel"])),
+            Err(ParseError::BadValue {
+                option: "--algorithm".into(),
+                value: "parallel".into()
+            })
+        );
     }
 
     #[test]
@@ -1068,6 +1032,12 @@ mod tests {
         assert_eq!(
             parse(&v(&["info", "--venue", "x", "--out", "y"])),
             Err(ParseError::UnknownOption("--out".into()))
+        );
+        // A query has no worker count to set (`index build --threads`
+        // is an alias of `--build-threads`).
+        assert_eq!(
+            parse(&v(&["query", "--venue", "x", "--threads", "2"])),
+            Err(ParseError::UnknownOption("--threads".into()))
         );
     }
 

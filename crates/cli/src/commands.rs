@@ -192,8 +192,7 @@ fn stats_line(stats: &QueryStats) -> String {
         }
         None => String::new(),
     };
-    // Percentiles come from the per-run latency histogram, so a parallel or
-    // batch aggregate reports its distribution, not just the outer max.
+    // Percentiles come from the per-run latency histogram.
     let latency = if stats.latencies.count() > 0 {
         format!(
             ", latency p50/p95/p99 {:?}/{:?}/{:?} ({} samples)",
@@ -442,31 +441,16 @@ pub fn execute(cmd: &Command) -> Result<String, CommandError> {
                 dist_cache: args.dist_cache,
                 ..EfficientConfig::default()
             };
-            let objective = Objective::parse(&args.objective)
-                .ok_or_else(|| CommandError::Invalid(format!("objective `{}`", args.objective)))?;
-            let algorithm = Algorithm::parse(&args.algorithm)
-                .ok_or_else(|| CommandError::Invalid(format!("algorithm `{}`", args.algorithm)))?;
+            let (objective, algorithm) = (args.objective, args.algorithm);
             let spec = SolveSpec {
                 objective,
                 algorithm,
-                threads: args.threads,
                 dist_cache: args.dist_cache,
-            };
-            let algo_label = match algorithm {
-                Algorithm::Parallel => {
-                    let t = if args.threads == 0 {
-                        ifls_core::parallel::default_threads()
-                    } else {
-                        args.threads
-                    };
-                    format!("parallel[{t} threads]")
-                }
-                _ => args.algorithm.clone(),
             };
             let header = format!(
                 "{} query, {} algorithm: |C|={}, |Fe|={}, |Fn|={}, seed {}",
-                args.objective,
-                algo_label,
+                objective.name(),
+                algorithm.name(),
                 w.clients.len(),
                 w.existing.len(),
                 w.candidates.len(),
@@ -791,7 +775,7 @@ mod tests {
     #[test]
     fn query_all_objectives_and_algorithms() {
         for objective in ["minmax", "mindist", "maxsum"] {
-            for algorithm in ["efficient", "baseline", "brute", "parallel"] {
+            for algorithm in ["efficient", "baseline", "brute"] {
                 let cmd = parse(&v(&[
                     "query",
                     "--venue",
@@ -812,46 +796,6 @@ mod tests {
                 .unwrap();
                 let out = execute(&cmd).unwrap();
                 assert!(out.contains("answer"), "{objective}/{algorithm}: {out}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_query_matches_efficient_answer() {
-        let ans = |s: &str| {
-            s.lines()
-                .find(|l| l.contains("answer"))
-                .unwrap()
-                .to_string()
-        };
-        for objective in ["minmax", "mindist", "maxsum"] {
-            let run = |extra: &[&str]| {
-                let mut argv = v(&[
-                    "query",
-                    "--venue",
-                    "grid:2x16",
-                    "--objective",
-                    objective,
-                    "--clients",
-                    "40",
-                    "--fe",
-                    "2",
-                    "--fn",
-                    "5",
-                    "--seed",
-                    "9",
-                ]);
-                argv.extend(extra.iter().map(|s| s.to_string()));
-                execute(&parse(&argv).unwrap()).unwrap()
-            };
-            let serial = run(&[]);
-            for threads in ["1", "3"] {
-                let par = run(&["--algorithm", "parallel", "--threads", threads]);
-                assert_eq!(
-                    ans(&serial),
-                    ans(&par),
-                    "{objective} with {threads} threads diverged"
-                );
             }
         }
     }

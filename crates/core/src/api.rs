@@ -14,7 +14,7 @@ use ifls_viptree::VipTree;
 
 use crate::budget::{Budget, Resolution};
 use crate::explore::ClientLegs;
-use crate::parallel::{ParallelSolver, WorkerPanic};
+use crate::parallel::WorkerPanic;
 use crate::search::{EfficientConfig, EfficientSolver, ObjectivePolicy, Query};
 use crate::stats::QueryStats;
 use crate::{MaxSum, MinDist, MinMax};
@@ -69,7 +69,7 @@ impl Objective {
     }
 }
 
-/// The four interchangeable solver families.
+/// The three interchangeable solver families.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// §5's single-pass efficient solver (the paper's contribution).
@@ -79,8 +79,6 @@ pub enum Algorithm {
     Baseline,
     /// The literal definition — the correctness oracle.
     Brute,
-    /// Candidate-sharded scoped-thread solver, bit-identical to serial.
-    Parallel,
 }
 
 impl Algorithm {
@@ -90,7 +88,6 @@ impl Algorithm {
             "efficient" => Some(Algorithm::Efficient),
             "baseline" => Some(Algorithm::Baseline),
             "brute" => Some(Algorithm::Brute),
-            "parallel" => Some(Algorithm::Parallel),
             _ => None,
         }
     }
@@ -101,7 +98,6 @@ impl Algorithm {
             Algorithm::Efficient => "efficient",
             Algorithm::Baseline => "baseline",
             Algorithm::Brute => "brute",
-            Algorithm::Parallel => "parallel",
         }
     }
 }
@@ -115,8 +111,6 @@ pub struct SolveSpec {
     pub objective: Objective,
     /// Which solver family answers it.
     pub algorithm: Algorithm,
-    /// Worker threads for [`Algorithm::Parallel`] (`0` = all cores).
-    pub threads: usize,
     /// Whether the efficient solvers memoize distance kernels.
     pub dist_cache: bool,
 }
@@ -126,7 +120,6 @@ impl Default for SolveSpec {
         Self {
             objective: Objective::MinMax,
             algorithm: Algorithm::Efficient,
-            threads: 0,
             dist_cache: true,
         }
     }
@@ -160,6 +153,10 @@ fn config_of(spec: &SolveSpec) -> EfficientConfig {
 /// Answers one IFLS query. This is *the* dispatch used by the CLI and the
 /// daemon; anything answered here is bit-identical across front ends by
 /// construction.
+///
+/// One query runs on one thread, so this never returns `Err`. The
+/// `Result` stays because `perfbench/` matches on it; once those calls
+/// change, this returns [`QuerySummary`] and the callers' `Err` arms go.
 pub fn solve(
     tree: &VipTree<'_>,
     clients: &[IndoorPoint],
@@ -169,13 +166,12 @@ pub fn solve(
     budget: &Budget,
 ) -> Result<QuerySummary, WorkerPanic> {
     let q = Query::new(tree, clients, existing, candidates);
-    answerer(spec.objective)(&q, spec, budget, None)
+    Ok(answerer(spec.objective)(&q, spec, budget, None))
 }
 
 /// The one generic body behind [`solve`] and [`solve_batch`], with the
 /// client door legs shared by a batch (`None` builds them inline).
-type Answerer =
-    fn(&Query<'_>, &SolveSpec, &Budget, Option<&ClientLegs>) -> Result<QuerySummary, WorkerPanic>;
+type Answerer = fn(&Query<'_>, &SolveSpec, &Budget, Option<&ClientLegs>) -> QuerySummary;
 
 /// The single match on the objective: [`answer`] under its policy.
 fn answerer(objective: Objective) -> Answerer {
@@ -192,7 +188,7 @@ fn answer<P: ObjectivePolicy>(
     spec: &SolveSpec,
     budget: &Budget,
     legs: Option<&ClientLegs>,
-) -> Result<QuerySummary, WorkerPanic> {
+) -> QuerySummary {
     let config = config_of(spec);
     let outcome = match spec.algorithm {
         Algorithm::Efficient => EfficientSolver::<P>::with_config(q.tree, config).solve(
@@ -201,19 +197,16 @@ fn answer<P: ObjectivePolicy>(
             budget,
             legs,
         ),
-        Algorithm::Parallel => ParallelSolver::with_threads(q.tree, spec.threads)
-            .config(config)
-            .try_run::<P>(q.clients, q.existing, q.candidates, budget)?,
         algorithm => P::reference(q, algorithm, budget),
     };
     let (answer, value, resolution, stats) = P::into_parts(outcome);
-    Ok(QuerySummary {
+    QuerySummary {
         answer,
         value_key: P::OBJECTIVE.value_key(),
         value: P::reported(value, q.clients.len()),
         resolution,
         stats,
-    })
+    }
 }
 
 /// Answers one IFLS query while capturing a per-request span trace under
@@ -229,10 +222,7 @@ fn answer<P: ObjectivePolicy>(
 /// observability is disabled or another trace is already active on this
 /// thread.
 ///
-/// With [`Algorithm::Parallel`], worker-thread spans reach the aggregate
-/// sink through the coordinator's merge as always but are not part of the
-/// per-request tree (capture is thread-local); the coordinator-side spans
-/// and all outcome fields still are.
+/// Like [`solve`], this never returns `Err`.
 pub fn solve_traced(
     tree: &VipTree<'_>,
     clients: &[IndoorPoint],
@@ -242,9 +232,10 @@ pub fn solve_traced(
     budget: &Budget,
     ctx: ifls_obs::TraceContext,
 ) -> Result<(QuerySummary, Option<ifls_obs::RequestTrace>), WorkerPanic> {
-    traced(Some(ctx), spec, || {
-        solve(tree, clients, existing, candidates, spec, budget)
-    })
+    let q = Query::new(tree, clients, existing, candidates);
+    Ok(traced(Some(ctx), spec, || {
+        answerer(spec.objective)(&q, spec, budget, None)
+    }))
 }
 
 /// Runs `solve` under a trace scope for `ctx` (none for `None`) and copies
@@ -253,12 +244,11 @@ pub fn solve_traced(
 fn traced(
     ctx: Option<ifls_obs::TraceContext>,
     spec: &SolveSpec,
-    solve: impl FnOnce() -> Result<QuerySummary, WorkerPanic>,
-) -> Result<(QuerySummary, Option<ifls_obs::RequestTrace>), WorkerPanic> {
+    solve: impl FnOnce() -> QuerySummary,
+) -> (QuerySummary, Option<ifls_obs::RequestTrace>) {
     let scope = ctx.map(ifls_obs::TraceScope::begin);
-    let result = solve();
+    let summary = solve();
     let trace = scope.and_then(ifls_obs::TraceScope::finish);
-    let summary = result?;
     let trace = trace.map(|mut t| {
         t.objective = spec.objective.name().to_owned();
         t.algorithm = spec.algorithm.name().to_owned();
@@ -275,7 +265,7 @@ fn traced(
             .unwrap_or_default();
         t
     });
-    Ok((summary, trace))
+    (summary, trace)
 }
 
 /// One query of a serve-side micro-batch: a workload plus its own budget
@@ -307,8 +297,9 @@ pub struct BatchQuery {
 /// on one worker thread, so its [`ifls_obs::TraceScope`] captures the same
 /// span tree the unbatched path would. Only [`Algorithm::Efficient`] uses
 /// the shared legs and the workers; the other solver families answer the
-/// queries one by one on the calling thread, as unbatched calls would,
-/// stopping at the first error.
+/// queries one by one on the calling thread, as unbatched calls would.
+/// `Err` is the scheduler's: a query that panicked on its worker and again
+/// on the coordinator's retry.
 pub fn solve_batch(
     tree: &VipTree<'_>,
     threads: usize,
@@ -321,7 +312,7 @@ pub fn solve_batch(
         traced(q.ctx, spec, || answer(&query, spec, budget, legs))
     };
     if spec.algorithm != Algorithm::Efficient {
-        return queries.iter().map(|q| run(q, &q.budget, None)).collect();
+        return Ok(queries.iter().map(|q| run(q, &q.budget, None)).collect());
     }
     let (pool, by_query) =
         crate::parallel::legs_pool(tree, queries.iter().map(|q| q.clients.as_slice()));
@@ -336,9 +327,7 @@ pub fn solve_batch(
                 Some(&pool[by_query[i]]),
             )
         },
-    )?
-    .into_iter()
-    .collect()
+    )
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -465,16 +454,13 @@ mod tests {
         for o in [Objective::MinMax, Objective::MinDist, Objective::MaxSum] {
             assert_eq!(Objective::parse(o.name()), Some(o));
         }
-        for a in [
-            Algorithm::Efficient,
-            Algorithm::Baseline,
-            Algorithm::Brute,
-            Algorithm::Parallel,
-        ] {
+        for a in [Algorithm::Efficient, Algorithm::Baseline, Algorithm::Brute] {
             assert_eq!(Algorithm::parse(a.name()), Some(a));
         }
         assert_eq!(Objective::parse("mean"), None);
         assert_eq!(Algorithm::parse("magic"), None);
+        // One query runs on one thread: there is no sharded solver to name.
+        assert_eq!(Algorithm::parse("parallel"), None);
     }
 
     #[test]
@@ -508,16 +494,10 @@ mod tests {
         // relative tolerance while answers must match exactly.
         for objective in [Objective::MinMax, Objective::MinDist, Objective::MaxSum] {
             let mut results = Vec::new();
-            for algorithm in [
-                Algorithm::Efficient,
-                Algorithm::Baseline,
-                Algorithm::Brute,
-                Algorithm::Parallel,
-            ] {
+            for algorithm in [Algorithm::Efficient, Algorithm::Baseline, Algorithm::Brute] {
                 let s = SolveSpec {
                     objective,
                     algorithm,
-                    threads: 2,
                     dist_cache: true,
                 };
                 let r = solve(

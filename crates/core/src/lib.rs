@@ -26,19 +26,18 @@
 //! the objective as an [`ObjectivePolicy`]: [`MinMax`] (the query above;
 //! [`EfficientIfls`] is `EfficientSolver<MinMax>`) and §7's extensions
 //! [`MinDist`] and [`MaxSum`] (their solvers, outcomes and brute-force
-//! oracles live in [`mindist`] and [`maxsum`]). The [`parallel`] module
-//! shards queries across scoped threads over the shared read-only index:
-//! [`ParallelSolver`] splits one query's candidate set, [`BatchRunner`]
-//! answers many independent queries concurrently; both are bit-identical
-//! to the serial solvers at every thread count.
+//! oracles live in [`mindist`] and [`maxsum`]). One query always runs on
+//! one thread. The [`parallel`] module runs many queries on scoped threads
+//! over the shared read-only index: [`BatchRunner`] answers independent
+//! queries concurrently, bit-identical to the serial solver at every
+//! thread count.
 //!
 //! Entry points, for an objective policy `P`:
 //!
 //! * `EfficientSolver::<P>::run`, `run_budgeted` (under a [`Budget`]) and
 //!   `run_with_cache` (through a caller-owned distance cache, under a
 //!   budget), plus MinMax's `run_topk`;
-//! * `ParallelSolver::run::<P>` / `try_run::<P>` and
-//!   `BatchRunner::run::<P>` / `try_run::<P>`;
+//! * `BatchRunner::run::<P>` / `try_run::<P>`;
 //! * [`solve`] and [`api::solve_batch`], which pick the policy from an
 //!   [`Objective`] at run time (the CLI and daemon dispatch).
 //!
@@ -63,7 +62,7 @@
 //! down to one relaxed atomic load per record site; enable it with
 //! [`ifls_obs::set_enabled`] and drain the thread's sink with
 //! [`ifls_obs::take_local`]. Observability can never change an answer:
-//! record calls only *read* solver state, and the parallel engine merges
+//! record calls only *read* solver state, and the batch engine merges
 //! per-worker sinks in deterministic join order.
 
 pub mod api;
@@ -89,6 +88,6 @@ pub use maxsum::MaxSum;
 pub use mindist::MinDist;
 pub use monitor::{ClientId, IflsMonitor};
 pub use outcome::MinMaxOutcome;
-pub use parallel::{BatchRunner, IflsQuery, ParallelSolver, WorkerPanic};
+pub use parallel::{BatchRunner, IflsQuery, WorkerPanic};
 pub use search::{EfficientConfig, EfficientSolver, ObjectivePolicy};
 pub use stats::QueryStats;

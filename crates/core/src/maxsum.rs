@@ -212,7 +212,6 @@ impl MaxSum {
 impl ObjectivePolicy for MaxSum {
     type Outcome = MaxSumOutcome;
     const OBJECTIVE: Objective = Objective::MaxSum;
-    const MAXIMIZE: bool = true;
 
     /// No new facility captures no client.
     fn status_quo(_q: &Query<'_>) -> f64 {

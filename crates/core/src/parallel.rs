@@ -1,36 +1,27 @@
-//! Parallel batch query engine: scoped-thread sharding over a shared
-//! [`VipTree`].
+//! Parallel batch query engine: many independent queries on scoped
+//! threads over a shared [`VipTree`].
 //!
 //! The index is read-only after construction (no interior mutability
 //! anywhere in `ifls-viptree`), so workers borrow it directly through
 //! [`std::thread::scope`] — no `Arc`, no cloning, no external thread-pool
-//! dependency. Two layers build on that:
+//! dependency. One query always runs on one thread: §5 answers a query in
+//! one bottom-up pass that all its candidates share, and splitting the
+//! candidates across threads would repeat that pass in every split. The
+//! parallelism that pays is across queries:
 //!
-//! * [`ParallelSolver`] — answers *one* query faster by sharding the
-//!   candidate set `Fn` across workers. Each worker runs the serial
-//!   efficient solver on its contiguous shard; per-candidate objectives do
-//!   not depend on which other candidates are in the run, so merging the
-//!   shard winners by `(objective, PartitionId)` reproduces the serial
-//!   answer **bit for bit** at every thread count (enforced by the
-//!   equivalence and determinism tests). [`ParallelSolver::run`] and
-//!   [`ParallelSolver::try_run`] take the objective as a policy type
-//!   parameter (`run::<MinMax>`, `run::<MinDist>`, `run::<MaxSum>`), and
-//!   one merge serves every policy. The dominated evaluation phases can
-//!   additionally shard *clients* via
-//!   [`ParallelSolver::evaluate_minmax_objective`], whose `max`-merge is
-//!   order-independent.
 //! * [`BatchRunner`] — answers *many independent* queries concurrently
 //!   (the serving shape: each user's query is small, the stream is not).
 //!   Queries are distributed by a work-stealing scheduler (see below), so
 //!   uneven query costs balance across workers, and results are returned
 //!   in input order. Queries sharing one client set also share one
 //!   [`ClientLegs`] table, computed once per distinct set. Its
-//!   [`BatchRunner::run`]/[`BatchRunner::try_run`] pair is generic over the
-//!   objective policy the same way.
+//!   [`BatchRunner::run`] and [`BatchRunner::try_run`] take the objective
+//!   as a policy type parameter (`run::<MinMax>`, `run::<MinDist>`,
+//!   `run::<MaxSum>`).
 //!
 //! # Work stealing
 //!
-//! Both layers schedule items through per-worker chunked deques: worker
+//! The scheduler hands out items through per-worker chunked deques: worker
 //! `w` is seeded with the `w`-th contiguous chunk of the input and pops
 //! from the front of its own deque; a worker whose deque runs dry scans
 //! the other deques (starting at its right neighbour, wrapping) and
@@ -38,54 +29,47 @@
 //! keeps lock traffic logarithmic in the imbalance instead of linear, and
 //! stealing from the back preserves the victim's front-to-back locality.
 //! Each successful steal ticks the `steals` obs counter. Results land in
-//! input-order slots, so the merge is independent of who computed what —
+//! input-order slots, so the output is independent of who computed what —
 //! steal order can change *timing*, never *answers*.
 //!
-//! Determinism contract: worker outputs are merged with explicit
-//! tie-breaking (lowest `PartitionId` wins at equal objective bits), and
-//! every serial solver uses the same rule, so thread count and scheduling
-//! never change an answer. Per-worker [`QueryStats`] are folded with
-//! [`QueryStats::merge`]; wall-clock `elapsed` is the outer measurement,
-//! while the work counters sum across workers (they can exceed the serial
-//! counters because shards repeat the shared coverage phase).
+//! Determinism contract: every query runs wholly on the serial efficient
+//! solver, whose ties go to the lowest `PartitionId`, so thread count and
+//! scheduling never change an answer. Per-worker observability sinks are
+//! merged in deterministic join order.
 //!
 //! # Fault isolation
 //!
-//! A panic inside one worker item (one query, one candidate shard) must
-//! not take down the whole batch. The sharded paths wrap every item in
+//! A panic inside one worker item (one query) must not take down the
+//! whole batch. The worker path wraps every item in
 //! [`std::panic::catch_unwind`]; a failed item is re-run **once** by the
 //! coordinator, serially, on a fresh worker state (the panic may have left
 //! the old state torn). Only when the retry fails too does the typed
-//! [`WorkerPanic`] error surface — through the `try_run` methods, or as a
-//! plain panic from the infallible `run` wrappers. Each retried item
-//! ticks the `worker_retries` obs counter. A worker thread that dies
+//! [`WorkerPanic`] error surface — through [`BatchRunner::try_run`], or as
+//! a plain panic from the infallible [`BatchRunner::run`]. Each retried
+//! item ticks the `worker_retries` obs counter. A worker thread that dies
 //! outright (before draining the work cursor) just leaves its share to
 //! the surviving workers and the coordinator. The serial (`threads <= 1`)
-//! path stays panic-transparent: isolation is a property of sharding.
+//! path stays panic-transparent: isolation is a property of the worker
+//! path.
 //!
 //! # Budgets
 //!
-//! The `try_run` methods take a [`Budget`]; every worker item runs under
-//! its own [`Budget::clone`] (fresh checkpoint counter, shared cancel
-//! token and deadline), so deterministic checkpoint trips behave the same
-//! whether an item runs on a worker or on the coordinator's retry path.
-//! Shard resolutions merge conservatively: the merged answer is `Exact`
-//! only if every shard is, and a merged gap re-derives from the shards'
-//! lower (resp. upper) bounds — see DESIGN.md §11.
+//! [`BatchRunner::try_run`] takes a [`Budget`]; every query runs under its
+//! own [`Budget::clone`] (fresh checkpoint counter, shared cancel token
+//! and deadline), so deterministic checkpoint trips behave the same
+//! whether a query runs on a worker or on the coordinator's retry path.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::thread;
-use std::time::Instant;
 
 use ifls_indoor::{IndoorPoint, PartitionId};
 use ifls_viptree::VipTree;
 
-use crate::budget::{Budget, Resolution};
+use crate::budget::Budget;
 use crate::explore::ClientLegs;
-use crate::search::{EfficientConfig, EfficientSolver, ObjectivePolicy, Parts, Query};
-use crate::{brute, QueryStats};
+use crate::search::{EfficientConfig, EfficientSolver, ObjectivePolicy, Query};
 
 // The whole module rests on the index being shareable across workers;
 // assert it where the borrow happens, not just in the index crate.
@@ -95,9 +79,8 @@ const _: () = {
 };
 
 /// A worker item panicked twice: once on its worker and once on the
-/// coordinator's serial retry. Carries the item index (query index for
-/// [`BatchRunner`], shard index for [`ParallelSolver`]) and the panic
-/// payload's message.
+/// coordinator's serial retry. Carries the item index (the query index
+/// for [`BatchRunner`]) and the panic payload's message.
 #[derive(Clone, Debug)]
 pub struct WorkerPanic {
     /// Input-order index of the item that failed.
@@ -225,7 +208,7 @@ where
     let workers = threads.min(n);
     if workers <= 1 {
         // Serial path: panics propagate unchanged, exactly as a plain loop
-        // would. Isolation (and retry) is a property of the sharded path.
+        // would. Isolation (and retry) is a property of the worker path.
         let mut state = init();
         return Ok((0..n).map(|i| f(&mut state, i)).collect());
     }
@@ -302,193 +285,6 @@ where
         .into_iter()
         .map(|r| r.expect("every empty slot filled by the retry pass above"))
         .collect())
-}
-
-/// Merges the shards of one query under the policy `P`: the best value
-/// wins (lowest, or highest for a [`MAXIMIZE`](ObjectivePolicy::MAXIMIZE)
-/// policy), the lowest `PartitionId` on ties; with no answer anywhere,
-/// every shard reports the same status-quo value, computed from the shared
-/// coverage phase that does not depend on the candidate shard.
-///
-/// Every shard reports an *achieved* value (a really-evaluated placement
-/// or the status quo) and a gap such that `achieved_i − gap_i`
-/// lower-bounds (maximizing: `achieved_i + gap_i` upper-bounds) the shard's
-/// true optimum; exact shards have gap 0, so the bound is tight. The global
-/// optimum is the best shard optimum, hence the distance from the merged
-/// answer to the best of those bounds bounds its error. The per-shard
-/// degraded obs counter was already ticked inside each worker, so the merge
-/// does not tick again.
-pub(crate) fn merge_shards<P: ObjectivePolicy>(shards: &[Parts], stats: QueryStats) -> Parts {
-    let best = shards
-        .iter()
-        .filter_map(|&(answer, v, ..)| answer.map(|n| (n, v)))
-        .min_by(|a, b| {
-            let by_value = if P::MAXIMIZE {
-                b.1.total_cmp(&a.1)
-            } else {
-                a.1.total_cmp(&b.1)
-            };
-            by_value.then_with(|| a.0.cmp(&b.0))
-        });
-    let (answer, achieved) = match best {
-        Some((n, v)) => (Some(n), v),
-        None => (None, shards.first().expect("at least one shard").1),
-    };
-    let resolution = match shards.iter().find_map(|(_, _, r, _)| r.reason()) {
-        None => Resolution::Exact,
-        Some(reason) => {
-            let gap = if P::MAXIMIZE {
-                let upper = shards.iter().map(|(_, v, r, _)| v + r.gap());
-                upper.fold(0.0, f64::max) - achieved
-            } else {
-                let lower = shards.iter().map(|(_, v, r, _)| v - r.gap());
-                achieved - lower.fold(f64::INFINITY, f64::min)
-            };
-            Resolution::Degraded {
-                gap: gap.max(0.0),
-                reason,
-            }
-        }
-    };
-    (answer, achieved, resolution, stats)
-}
-
-/// Parallel IFLS solver: candidate-set sharding over scoped threads.
-///
-/// Produces answers bit-identical to the serial [`EfficientSolver`] under
-/// the same objective policy for every thread count, with explicit
-/// lowest-`PartitionId` tie-breaking.
-#[derive(Clone, Copy)]
-pub struct ParallelSolver<'t, 'v> {
-    tree: &'t VipTree<'v>,
-    threads: usize,
-    config: EfficientConfig,
-}
-
-impl<'t, 'v> ParallelSolver<'t, 'v> {
-    /// Creates a solver using every available hardware thread.
-    pub fn new(tree: &'t VipTree<'v>) -> Self {
-        Self::with_threads(tree, default_threads())
-    }
-
-    /// Creates a solver with an explicit worker count (`0` means "use the
-    /// available parallelism").
-    pub fn with_threads(tree: &'t VipTree<'v>, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
-        Self {
-            tree,
-            threads,
-            config: EfficientConfig::default(),
-        }
-    }
-
-    /// Replaces the per-worker solver configuration (ablations).
-    pub fn config(mut self, config: EfficientConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Answers the query under the objective policy `P`
-    /// (`solver.run::<MinMax>(…)` for the paper's IFLS objective).
-    pub fn run<P: ObjectivePolicy>(
-        &self,
-        clients: &[IndoorPoint],
-        existing: &[PartitionId],
-        candidates: &[PartitionId],
-    ) -> P::Outcome {
-        match self.try_run::<P>(clients, existing, candidates, &Budget::unlimited()) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`run`](Self::run) under a cooperative [`Budget`], with worker
-    /// panics isolated per shard and retried once on the coordinator before
-    /// surfacing as [`WorkerPanic`].
-    pub fn try_run<P: ObjectivePolicy>(
-        &self,
-        clients: &[IndoorPoint],
-        existing: &[PartitionId],
-        candidates: &[PartitionId],
-        budget: &Budget,
-    ) -> Result<P::Outcome, WorkerPanic> {
-        let start = Instant::now();
-        let solver = EfficientSolver::<P>::with_config(self.tree, self.config);
-        let ranges = chunk_ranges(candidates.len(), self.threads);
-        if ranges.len() <= 1 || clients.is_empty() {
-            return Ok(solver.run_budgeted(clients, existing, candidates, budget));
-        }
-        // Per-client door legs are identical across shards (pure geometry,
-        // independent of the candidate shard), so build them once and
-        // share read-only. Each shard still charges the legs bytes to its
-        // own meter, keeping per-shard stats bit-identical to inline
-        // construction.
-        let legs = ClientLegs::build(self.tree, clients);
-        let partials = try_run_indexed_state(
-            ranges.len(),
-            ranges.len(),
-            || (),
-            |(), i| {
-                let mut cache = self.config.fresh_cache();
-                // Each shard polls its own clone: fresh checkpoint counter,
-                // shared cancel token — so deterministic trips behave the
-                // same on a worker and on the coordinator's retry path.
-                let shard_budget = budget.clone();
-                let shard =
-                    Query::new(self.tree, clients, existing, &candidates[ranges[i].clone()]);
-                P::into_parts(solver.solve(&shard, &mut cache, &shard_budget, Some(&legs)))
-            },
-        )?;
-        let mut stats = QueryStats::default();
-        for (_, _, _, shard_stats) in &partials {
-            stats.merge(shard_stats);
-        }
-        stats.elapsed = start.elapsed();
-        Ok(P::from_parts(merge_shards::<P>(&partials, stats)))
-    }
-
-    /// Evaluates the MinMax objective of one placement by sharding the
-    /// *client* set across workers (the dominated phase of the brute-force
-    /// oracle). The merge is a plain `max`, which is order-independent, so
-    /// the result is bit-identical to [`evaluate_objective`](crate::evaluate_objective)
-    /// at every thread count.
-    pub fn evaluate_minmax_objective(
-        &self,
-        clients: &[IndoorPoint],
-        existing: &[PartitionId],
-        candidate: Option<PartitionId>,
-    ) -> f64 {
-        let ranges = chunk_ranges(clients.len(), self.threads);
-        if ranges.len() <= 1 {
-            return brute::evaluate_objective(self.tree, clients, existing, candidate);
-        }
-        let maxima = try_run_indexed_state(
-            ranges.len(),
-            ranges.len(),
-            || (),
-            |(), i| {
-                brute::evaluate_objective(
-                    self.tree,
-                    &clients[ranges[i].clone()],
-                    existing,
-                    candidate,
-                )
-            },
-        );
-        match maxima {
-            Ok(maxima) => maxima.into_iter().fold(0.0, f64::max),
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
 
 /// Bitwise identity key for one client position: the partition id plus
@@ -640,7 +436,6 @@ mod tests {
 
     const _: () = {
         const fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ParallelSolver<'static, 'static>>();
         assert_send_sync::<BatchRunner<'static, 'static>>();
         assert_send_sync::<IflsQuery>();
         assert_send_sync::<WorkerPanic>();
@@ -775,36 +570,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_resolution_is_exact_only_when_all_shards_are() {
-        let shards = |parts: &[(f64, Resolution)]| {
-            let shards: Vec<Parts> = parts
-                .iter()
-                .map(|&(o, r)| (Some(PartitionId::new(1)), o, r, QueryStats::default()))
-                .collect();
-            merge_shards::<crate::MinMax>(&shards, QueryStats::default()).2
-        };
-        let exact = [(5.0, Resolution::Exact), (7.0, Resolution::Exact)];
-        assert!(shards(&exact).is_exact());
-
-        let degraded = Resolution::Degraded {
-            gap: 3.0,
-            reason: crate::budget::BudgetReason::DistCap,
-        };
-        let mixed = [(5.0, Resolution::Exact), (7.0, degraded)];
-        let merged = shards(&mixed);
-        // Lower bound is min(5.0, 7.0 − 3.0) = 4.0, achieved 5.0 → gap 1.0.
-        assert_eq!(merged.gap(), 1.0);
-        assert_eq!(merged.reason(), Some(crate::budget::BudgetReason::DistCap));
-    }
-
-    #[test]
     fn zero_threads_means_available_parallelism() {
         let venue = ifls_venues::GridVenueSpec::new("t", 1, 4).build();
         let tree = VipTree::build(&venue, ifls_viptree::VipTreeConfig::default());
-        assert_eq!(
-            ParallelSolver::with_threads(&tree, 0).threads(),
-            default_threads()
-        );
         assert_eq!(
             BatchRunner::with_threads(&tree, 0).threads(),
             default_threads()

@@ -135,17 +135,13 @@ pub enum Exit {
 /// traversal. The driver owns everything else, calls the hooks in a fixed
 /// order, and never looks inside the state. The hooks take crate-internal
 /// types, so only this crate implements the trait; other code names a
-/// policy as a type parameter, e.g. `ParallelSolver::run::<MinDist>`.
+/// policy as a type parameter, e.g. `BatchRunner::run::<MinDist>`.
 pub trait ObjectivePolicy: Sized {
     /// What a solve under this policy returns.
     type Outcome: Send;
 
     /// The objective this policy answers.
     const OBJECTIVE: Objective;
-
-    /// Whether a larger value is better (MaxSum); shard merges and their
-    /// gap bounds flip direction with it.
-    const MAXIMIZE: bool = false;
 
     /// The value of placing no new facility, over non-empty clients.
     #[doc(hidden)]

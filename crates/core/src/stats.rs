@@ -45,9 +45,8 @@ pub struct QueryStats {
     pub peak_bytes: usize,
     /// Wall-clock time of the query.
     pub elapsed: Duration,
-    /// Per-run latency samples: every serial solve records its wall clock
-    /// here, so an aggregate merged from parallel shards or a batch carries
-    /// the full distribution (p50/p95/p99), not just the max `elapsed`.
+    /// Latency samples: every solve records its wall clock here as one
+    /// sample, the figure `ifls-stats/v1` reports as p50/p95/p99.
     pub latencies: LatencyHistogram,
     /// Nanoseconds spent obtaining the index before the first query —
     /// building the VIP-tree, or loading a snapshot when `--index` was
@@ -64,33 +63,6 @@ impl QueryStats {
     /// figures).
     pub fn peak_mib(&self) -> f64 {
         self.peak_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Folds the counters of a concurrent worker into this aggregate.
-    ///
-    /// Work counters add up. `peak_bytes` also adds, because parallel
-    /// workers hold their scratch structures *simultaneously*, so the
-    /// process-wide structural peak is bounded by the sum of per-worker
-    /// peaks. `elapsed` takes the maximum: workers run side by side, so
-    /// the slowest one bounds the phase (callers typically overwrite it
-    /// with the measured outer wall-clock anyway).
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.dist_computations += other.dist_computations;
-        self.point_via_lookups += other.point_via_lookups;
-        self.facilities_retrieved += other.facilities_retrieved;
-        self.clients_pruned += other.clients_pruned;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        // Each worker owns its local table, so the footprints add up.
-        self.cache_bytes += other.cache_bytes;
-        // One warm tier serves every worker; keep the one recorded figure.
-        self.cache_warm_bytes = self.cache_warm_bytes.max(other.cache_warm_bytes);
-        self.peak_bytes += other.peak_bytes;
-        self.elapsed = self.elapsed.max(other.elapsed);
-        self.latencies.merge(&other.latencies);
-        // One index serves all workers; keep the one recorded figure.
-        self.index_build_ns = self.index_build_ns.max(other.index_build_ns);
-        self.index_from_snapshot |= other.index_from_snapshot;
     }
 
     /// Stamps the query's wall clock: sets `elapsed` and records the same
@@ -173,50 +145,6 @@ mod tests {
         let mut m = MemoryMeter::default();
         m.add(-50);
         assert_eq!(m.peak_bytes(), 0);
-    }
-
-    #[test]
-    fn merge_sums_work_and_memory_and_maxes_time() {
-        let mut a = QueryStats {
-            dist_computations: 10,
-            point_via_lookups: 4,
-            facilities_retrieved: 5,
-            clients_pruned: 2,
-            cache_hits: 8,
-            cache_misses: 2,
-            cache_bytes: 64,
-            peak_bytes: 1_000,
-            elapsed: Duration::from_millis(30),
-            ..QueryStats::default()
-        };
-        a.latencies.record_ns(30_000_000);
-        let mut b = QueryStats {
-            dist_computations: 7,
-            point_via_lookups: 3,
-            facilities_retrieved: 1,
-            clients_pruned: 0,
-            cache_hits: 2,
-            cache_misses: 3,
-            cache_bytes: 16,
-            peak_bytes: 500,
-            elapsed: Duration::from_millis(40),
-            ..QueryStats::default()
-        };
-        b.latencies.record_ns(40_000_000);
-        a.merge(&b);
-        assert_eq!(a.dist_computations, 17);
-        assert_eq!(a.point_via_lookups, 7);
-        assert_eq!(a.facilities_retrieved, 6);
-        assert_eq!(a.clients_pruned, 2);
-        assert_eq!(a.cache_hits, 10);
-        assert_eq!(a.cache_misses, 5);
-        assert_eq!(a.cache_bytes, 80);
-        assert_eq!(a.peak_bytes, 1_500);
-        assert_eq!(a.elapsed, Duration::from_millis(40));
-        // The merged aggregate keeps both latency samples, so percentiles
-        // survive where `elapsed` alone would collapse to the max.
-        assert_eq!(a.latencies.count(), 2);
-        assert!(a.latencies.p99_ns() >= a.latencies.p50_ns());
     }
 
     #[test]

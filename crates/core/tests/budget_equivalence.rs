@@ -12,7 +12,7 @@ use ifls_core::maxsum::{BruteForceMaxSum, EfficientMaxSum};
 use ifls_core::mindist::{BruteForceMinDist, EfficientMinDist};
 use ifls_core::{
     BatchRunner, BruteForce, Budget, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax,
-    ModifiedMinMax, ParallelSolver, QueryStats,
+    ModifiedMinMax, QueryStats,
 };
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_venues::GridVenueSpec;
@@ -120,37 +120,6 @@ fn serial_solvers_ignore_non_firing_budgets() {
         let g = BruteForceMaxSum::new(&tree).run_budgeted(c, e, n, budget);
         assert_eq!(g.answer, bs.answer);
         assert_eq!(g.wins, bs.wins);
-    }
-}
-
-#[test]
-fn parallel_budgeted_paths_are_bit_identical_at_every_thread_count() {
-    let case = fixture();
-    let tree = VipTree::build(&case.venue, VipTreeConfig::default());
-    let (c, e, n) = (&case.clients, &case.existing, &case.candidates);
-
-    let minmax = EfficientIfls::new(&tree).run(c, e, n);
-    let mindist = EfficientMinDist::new(&tree).run(c, e, n);
-    let maxsum = EfficientMaxSum::new(&tree).run(c, e, n);
-
-    for budget in inert_budgets() {
-        for threads in THREAD_COUNTS {
-            let par = ParallelSolver::with_threads(&tree, threads);
-            let g = par.try_run::<MinMax>(c, e, n, &budget).unwrap();
-            assert!(g.resolution.is_exact(), "t={threads}: minmax degraded");
-            assert_eq!(g.answer, minmax.answer, "t={threads}");
-            assert_eq!(g.objective.to_bits(), minmax.objective.to_bits());
-
-            let g = par.try_run::<MinDist>(c, e, n, &budget).unwrap();
-            assert!(g.resolution.is_exact(), "t={threads}: mindist degraded");
-            assert_eq!(g.answer, mindist.answer, "t={threads}");
-            assert_eq!(g.total.to_bits(), mindist.total.to_bits());
-
-            let g = par.try_run::<MaxSum>(c, e, n, &budget).unwrap();
-            assert!(g.resolution.is_exact(), "t={threads}: maxsum degraded");
-            assert_eq!(g.answer, maxsum.answer, "t={threads}");
-            assert_eq!(g.wins, maxsum.wins);
-        }
     }
 }
 

@@ -5,13 +5,12 @@
 //! minima, point-to-partition distances — is bit-identical to the uncached
 //! tree kernel, and all three objectives return bit-identical answers with
 //! the cache on or off, serially, through a persistent serving-shaped
-//! cache, and in the parallel engine at 1/2/4/8 threads.
+//! cache, and in the batch engine at 1/2/4/8 threads.
 
 use ifls_core::maxsum::EfficientMaxSum;
 use ifls_core::mindist::EfficientMinDist;
 use ifls_core::{
-    BatchRunner, Budget, EfficientConfig, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax,
-    ParallelSolver, QueryStats,
+    BatchRunner, Budget, EfficientConfig, EfficientIfls, IflsQuery, MinMax, QueryStats,
 };
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_rng::StdRng;
@@ -237,55 +236,6 @@ fn objectives_are_bit_identical_cache_on_and_off() {
     }
 }
 
-/// The parallel engine (one cache per shard) stays bit identical to the
-/// uncached serial solver at every thread count, with the cache on or off.
-#[test]
-fn parallel_solver_bit_identical_across_threads_and_cache_modes() {
-    let mut rng = StdRng::seed_from_u64(0xcac4_e003);
-    for case_no in 0..5 {
-        let case = random_case(&mut rng);
-        let tree = VipTree::build(&case.venue, VipTreeConfig::default());
-        let reference = EfficientIfls::with_config(&tree, config(false)).run(
-            &case.clients,
-            &case.existing,
-            &case.candidates,
-        );
-        let ref_mindist = EfficientMinDist::with_config(&tree, config(false)).run(
-            &case.clients,
-            &case.existing,
-            &case.candidates,
-        );
-        let ref_maxsum = EfficientMaxSum::with_config(&tree, config(false)).run(
-            &case.clients,
-            &case.existing,
-            &case.candidates,
-        );
-        for threads in THREAD_COUNTS {
-            for dist_cache in [true, false] {
-                let label = format!("case {case_no} t={threads} cache={dist_cache}");
-                let par = ParallelSolver::with_threads(&tree, threads).config(config(dist_cache));
-                let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
-                assert_eq!(p.answer, reference.answer, "{label}: minmax answer");
-                assert_eq!(
-                    p.objective.to_bits(),
-                    reference.objective.to_bits(),
-                    "{label}: minmax objective bits"
-                );
-                let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
-                assert_eq!(p.answer, ref_mindist.answer, "{label}: mindist answer");
-                assert_eq!(
-                    p.total.to_bits(),
-                    ref_mindist.total.to_bits(),
-                    "{label}: mindist total bits"
-                );
-                let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
-                assert_eq!(p.answer, ref_maxsum.answer, "{label}: maxsum answer");
-                assert_eq!(p.wins, ref_maxsum.wins, "{label}: maxsum wins");
-            }
-        }
-    }
-}
-
 /// Builds a second tree over the same venue with the snapshot-shipped warm
 /// tier attached (what `index build --cache-warm` produces).
 fn with_warm_tier(venue: &Venue) -> VipTree<'_> {
@@ -296,11 +246,10 @@ fn with_warm_tier(venue: &Venue) -> VipTree<'_> {
 }
 
 /// Cold and warm trees return bit-identical answers AND an identical
-/// `dist_computations` count, serially and at 1/2/4/8 threads.
-/// `dist_computations` tallies logical kernel evaluations at the call
-/// site, *before* the cache is consulted, so no cache state may change it.
-/// On the warm tree every parallel shard is answered by the warm tier
-/// alone: no miss, and no local-table bytes.
+/// `dist_computations` count. `dist_computations` tallies logical kernel
+/// evaluations at the call site, *before* the cache is consulted, so no
+/// cache state may change it. On the warm tree every lookup is answered by
+/// the warm tier alone: no miss, and no local-table bytes.
 #[test]
 fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
     let mut rng = StdRng::seed_from_u64(0xcac4_e005);
@@ -326,32 +275,17 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
             &case.candidates,
         );
 
-        // The parallel engine partitions candidates across workers, which
-        // changes the pruning bounds each worker sees — its logical kernel
-        // count legitimately differs from the serial solver's. So the
-        // work-invariance claim is pinned per execution shape: every tree
-        // must match a cache-off run *at the same thread count*.
-        let par_baseline: Vec<[u64; 3]> = THREAD_COUNTS
-            .iter()
-            .map(|&threads| {
-                let par = ParallelSolver::with_threads(&cold, threads).config(config(false));
-                [
-                    par.run::<MinMax>(&case.clients, &case.existing, &case.candidates)
-                        .stats
-                        .dist_computations,
-                    par.run::<MinDist>(&case.clients, &case.existing, &case.candidates)
-                        .stats
-                        .dist_computations,
-                    par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates)
-                        .stats
-                        .dist_computations,
-                ]
-            })
-            .collect();
-
         for (tree_label, tree) in [("cold", &cold), ("warm", &warm)] {
             let cfg = EfficientConfig::default();
             let label = format!("case {case_no} {tree_label}");
+            // On the warm tree no query precomputes or computes a distance
+            // vector, so none fills a local table.
+            let warm_only = |stats: &QueryStats, objective: &str| {
+                if tree_label == "warm" {
+                    assert_eq!(stats.cache_misses, 0, "{label}: {objective} cache_misses");
+                    assert_eq!(stats.cache_bytes, 0, "{label}: {objective} cache_bytes");
+                }
+            };
 
             let got = EfficientIfls::with_config(tree, cfg).run(
                 &case.clients,
@@ -368,6 +302,7 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
                 got.stats.dist_computations, reference.stats.dist_computations,
                 "{label}: minmax dist_computations"
             );
+            warm_only(&got.stats, "minmax");
 
             let got = EfficientMinDist::with_config(tree, cfg).run(
                 &case.clients,
@@ -384,6 +319,7 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
                 got.stats.dist_computations, ref_mindist.stats.dist_computations,
                 "{label}: mindist dist_computations"
             );
+            warm_only(&got.stats, "mindist");
 
             let got = EfficientMaxSum::with_config(tree, cfg).run(
                 &case.clients,
@@ -396,45 +332,7 @@ fn admission_and_warm_modes_are_bit_identical_with_identical_work() {
                 got.stats.dist_computations, ref_maxsum.stats.dist_computations,
                 "{label}: maxsum dist_computations"
             );
-
-            for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
-                let tlabel = format!("{label} t={threads}");
-                // On the warm tree no shard precomputes or computes a
-                // distance vector, so no shard fills a local table.
-                let warm_only = |stats: &QueryStats, objective: &str| {
-                    if tree_label == "warm" {
-                        assert_eq!(stats.cache_misses, 0, "{tlabel}: {objective} cache_misses");
-                        assert_eq!(stats.cache_bytes, 0, "{tlabel}: {objective} cache_bytes");
-                    }
-                };
-                let par = ParallelSolver::with_threads(tree, threads).config(cfg);
-                let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
-                assert_eq!(p.answer, reference.answer, "{tlabel}: minmax answer");
-                assert_eq!(
-                    p.objective.to_bits(),
-                    reference.objective.to_bits(),
-                    "{tlabel}: minmax objective bits"
-                );
-                assert_eq!(
-                    p.stats.dist_computations, par_baseline[ti][0],
-                    "{tlabel}: minmax dist_computations"
-                );
-                warm_only(&p.stats, "minmax");
-                let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
-                assert_eq!(p.answer, ref_mindist.answer, "{tlabel}: mindist answer");
-                assert_eq!(
-                    p.stats.dist_computations, par_baseline[ti][1],
-                    "{tlabel}: mindist dist_computations"
-                );
-                warm_only(&p.stats, "mindist");
-                let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
-                assert_eq!(p.answer, ref_maxsum.answer, "{tlabel}: maxsum answer");
-                assert_eq!(
-                    p.stats.dist_computations, par_baseline[ti][2],
-                    "{tlabel}: maxsum dist_computations"
-                );
-                warm_only(&p.stats, "maxsum");
-            }
+            warm_only(&got.stats, "maxsum");
         }
     }
 }

@@ -8,9 +8,7 @@
 
 use std::sync::Mutex;
 
-use ifls_core::{
-    BatchRunner, Budget, IflsQuery, MaxSum, MinDist, MinMax, ObjectivePolicy, ParallelSolver,
-};
+use ifls_core::{BatchRunner, Budget, IflsQuery, MaxSum, MinDist, MinMax, ObjectivePolicy};
 use ifls_fault::FaultPoint;
 use ifls_indoor::PartitionId;
 use ifls_obs::Counter;
@@ -142,36 +140,6 @@ fn worker_death_at_startup_is_absorbed_without_retries() {
         assert_eq!(g.answer, r.answer, "query {i}");
         assert_eq!(g.objective.to_bits(), r.objective.to_bits(), "query {i}");
     }
-}
-
-#[test]
-fn cache_insert_panic_in_sharded_query_is_retried() {
-    let _g = LOCK.lock().unwrap();
-    ifls_fault::disarm_all();
-    let venue = GridVenueSpec::new("fault-shard", 2, 12).build();
-    let tree = VipTree::build(&venue, VipTreeConfig::default());
-    let w = WorkloadBuilder::new(&venue)
-        .clients_uniform(20)
-        .existing_uniform(2)
-        .candidates_uniform(8)
-        .seed(0xfa_0018)
-        .build();
-    let par = ParallelSolver::with_threads(&tree, 4);
-    let reference = par.run::<MinMax>(&w.clients, &w.existing, &w.candidates);
-
-    ifls_fault::arm(FaultPoint::CacheInsert, 3);
-    let (got, retries) = counting(Counter::WorkerRetries, || {
-        with_quiet_panics(|| {
-            par.try_run::<MinMax>(&w.clients, &w.existing, &w.candidates, &Budget::unlimited())
-        })
-    });
-    ifls_fault::disarm_all();
-
-    let got = got.expect("sharded query with one injected panic must complete");
-    assert_eq!(retries, 1, "exactly one shard retried");
-    assert_eq!(got.answer, reference.answer);
-    assert_eq!(got.objective.to_bits(), reference.objective.to_bits());
-    assert!(got.resolution.is_exact());
 }
 
 #[test]

@@ -2,18 +2,18 @@
 //!
 //! Property tests (seeded via `ifls-rng`) on random multi-level venues:
 //! every solver returns bit-identical answers with tracing enabled or
-//! disabled, serially and through the parallel engine at 1/2/4/8 threads —
+//! disabled, serially and through the batch engine at 1/2/4/8 threads —
 //! record calls only *read* solver state, so flipping the global flag can
 //! never perturb a result. The deterministic parts of the collected
 //! metrics (span counts, work counters) are also identical across repeated
-//! runs at a fixed thread count: per-worker sinks merge by element-wise
-//! addition, so scheduling cannot change totals.
+//! runs, and across thread counts in a batch: per-worker sinks merge by
+//! element-wise addition, so scheduling cannot change totals.
 
 use std::sync::Mutex;
 
 use ifls_core::maxsum::EfficientMaxSum;
 use ifls_core::mindist::EfficientMinDist;
-use ifls_core::{BatchRunner, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax, ParallelSolver};
+use ifls_core::{BatchRunner, EfficientIfls, IflsQuery, MinMax};
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_obs::{Counter, Phase};
 use ifls_rng::StdRng;
@@ -65,8 +65,7 @@ fn random_case(rng: &mut StdRng) -> Case {
     }
 }
 
-/// All three objectives, serial and parallel at every thread count, answer
-/// bit-identically with tracing on and off.
+/// All three objectives answer bit-identically with tracing on and off.
 #[test]
 fn answers_bit_identical_obs_on_and_off() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -118,27 +117,6 @@ fn answers_bit_identical_obs_on_and_off() {
             "case {case_no}: maxsum wins"
         );
 
-        for threads in THREAD_COUNTS {
-            let label = format!("case {case_no} t={threads}");
-            let par = ParallelSolver::with_threads(&tree, threads);
-            let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
-            assert_eq!(p.answer, off_minmax.answer, "{label}: minmax answer");
-            assert_eq!(
-                p.objective.to_bits(),
-                off_minmax.objective.to_bits(),
-                "{label}: minmax objective bits"
-            );
-            let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
-            assert_eq!(p.answer, off_mindist.answer, "{label}: mindist answer");
-            assert_eq!(
-                p.total.to_bits(),
-                off_mindist.total.to_bits(),
-                "{label}: mindist total bits"
-            );
-            let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
-            assert_eq!(p.answer, off_maxsum.answer, "{label}: maxsum answer");
-            assert_eq!(p.wins, off_maxsum.wins, "{label}: maxsum wins");
-        }
         let _ = ifls_obs::take_local();
         ifls_obs::set_enabled(false);
     }
@@ -229,7 +207,7 @@ fn batch_runner_bit_identical_and_sink_merged() {
 }
 
 /// Span counts and work counters are identical across repeated traced runs
-/// at a fixed thread count (timings differ; the countable work does not).
+/// (timings differ; the countable work does not).
 #[test]
 fn metric_counts_deterministic_across_runs() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -238,40 +216,31 @@ fn metric_counts_deterministic_across_runs() {
     let tree = VipTree::build(&case.venue, VipTreeConfig::default());
 
     ifls_obs::set_enabled(true);
-    let collect = |threads: usize| {
+    let collect = || {
         let _ = ifls_obs::take_local();
-        let par = ParallelSolver::with_threads(&tree, threads);
-        par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
-        par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
-        par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
+        let (c, e, n) = (&case.clients, &case.existing, &case.candidates);
+        EfficientIfls::new(&tree).run(c, e, n);
+        EfficientMinDist::new(&tree).run(c, e, n);
+        EfficientMaxSum::new(&tree).run(c, e, n);
         ifls_obs::take_local()
     };
-    for threads in [1usize, 4] {
-        let a = collect(threads);
-        let b = collect(threads);
-        for phase in Phase::ALL {
-            assert_eq!(
-                a.span(phase).count,
-                b.span(phase).count,
-                "t={threads}: span count for {}",
-                phase.name()
-            );
-        }
-        for counter in Counter::ALL {
-            // Steals is the one deliberately timing-dependent counter:
-            // which deque a thief drains depends on scheduling, so its
-            // count varies run to run even though the answers (asserted
-            // elsewhere in this suite) never do.
-            if counter == Counter::Steals {
-                continue;
-            }
-            assert_eq!(
-                a.counter(counter),
-                b.counter(counter),
-                "t={threads}: counter {}",
-                counter.name()
-            );
-        }
+    let a = collect();
+    let b = collect();
+    for phase in Phase::ALL {
+        assert_eq!(
+            a.span(phase).count,
+            b.span(phase).count,
+            "span count for {}",
+            phase.name()
+        );
+    }
+    for counter in Counter::ALL {
+        assert_eq!(
+            a.counter(counter),
+            b.counter(counter),
+            "counter {}",
+            counter.name()
+        );
     }
     ifls_obs::set_enabled(false);
 }

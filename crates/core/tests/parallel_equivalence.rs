@@ -1,15 +1,15 @@
-//! Cross-solver equivalence and determinism for the parallel engine.
+//! Cross-solver equivalence and determinism for the batch engine.
 //!
-//! On random venues, brute vs baseline vs efficient vs parallel must agree
-//! for all three objectives, and the parallel solvers must be **bit
-//! identical** to the serial efficient solvers at every thread count —
-//! the contract that makes threading a pure throughput knob.
+//! On random venues, brute vs baseline vs efficient must agree for all
+//! three objectives, and `BatchRunner` must be **bit identical** to the
+//! serial efficient solvers at every thread count — the contract that
+//! makes threading a pure throughput knob. One query always runs on one
+//! thread.
 
 use ifls_core::maxsum::{BruteForceMaxSum, EfficientMaxSum};
 use ifls_core::mindist::{BruteForceMinDist, EfficientMinDist};
 use ifls_core::{
-    evaluate_objective, BatchRunner, BruteForce, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax,
-    ModifiedMinMax, ParallelSolver,
+    BatchRunner, BruteForce, EfficientIfls, IflsQuery, MaxSum, MinDist, MinMax, ModifiedMinMax,
 };
 use ifls_indoor::{IndoorPoint, PartitionId, Venue};
 use ifls_rng::StdRng;
@@ -57,38 +57,65 @@ fn random_case(rng: &mut StdRng) -> Case {
     }
 }
 
-/// Asserts the parallel solvers reproduce the serial efficient answers bit
-/// for bit at every thread count, for all three objectives.
-fn assert_parallel_bit_identical(tree: &VipTree<'_>, case: &Case, label: &str) {
-    let minmax = EfficientIfls::new(tree).run(&case.clients, &case.existing, &case.candidates);
-    let mindist = EfficientMinDist::new(tree).run(&case.clients, &case.existing, &case.candidates);
-    let maxsum = EfficientMaxSum::new(tree).run(&case.clients, &case.existing, &case.candidates);
+/// Asserts `BatchRunner` reproduces the serial efficient answer of every
+/// case bit for bit at every thread count, for all three objectives. The
+/// cases share `tree` and run as one batch, so at two threads and more
+/// they go through the worker path.
+fn assert_batch_bit_identical(tree: &VipTree<'_>, cases: &[Case]) {
+    let queries: Vec<IflsQuery> = cases
+        .iter()
+        .map(|c| IflsQuery {
+            clients: c.clients.clone(),
+            existing: c.existing.clone(),
+            candidates: c.candidates.clone(),
+        })
+        .collect();
+    let serial: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            let (c, e, n) = (&q.clients, &q.existing, &q.candidates);
+            (
+                EfficientIfls::new(tree).run(c, e, n),
+                EfficientMinDist::new(tree).run(c, e, n),
+                EfficientMaxSum::new(tree).run(c, e, n),
+            )
+        })
+        .collect();
     for threads in THREAD_COUNTS {
-        let par = ParallelSolver::with_threads(tree, threads);
-        let p = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
-        assert_eq!(p.answer, minmax.answer, "{label} minmax answer t={threads}");
-        assert_eq!(
-            p.objective.to_bits(),
-            minmax.objective.to_bits(),
-            "{label} minmax objective t={threads}: {} vs {}",
-            p.objective,
-            minmax.objective
-        );
-        let p = par.run::<MinDist>(&case.clients, &case.existing, &case.candidates);
-        assert_eq!(
-            p.answer, mindist.answer,
-            "{label} mindist answer t={threads}"
-        );
-        assert_eq!(
-            p.total.to_bits(),
-            mindist.total.to_bits(),
-            "{label} mindist total t={threads}: {} vs {}",
-            p.total,
-            mindist.total
-        );
-        let p = par.run::<MaxSum>(&case.clients, &case.existing, &case.candidates);
-        assert_eq!(p.answer, maxsum.answer, "{label} maxsum answer t={threads}");
-        assert_eq!(p.wins, maxsum.wins, "{label} maxsum wins t={threads}");
+        let runner = BatchRunner::with_threads(tree, threads);
+        let minmax = runner.run::<MinMax>(&queries);
+        let mindist = runner.run::<MinDist>(&queries);
+        let maxsum = runner.run::<MaxSum>(&queries);
+        for (i, (want_minmax, want_mindist, want_maxsum)) in serial.iter().enumerate() {
+            let label = format!("case {i} t={threads}");
+            assert_eq!(
+                minmax[i].answer, want_minmax.answer,
+                "{label}: minmax answer"
+            );
+            assert_eq!(
+                minmax[i].objective.to_bits(),
+                want_minmax.objective.to_bits(),
+                "{label}: minmax objective {} vs {}",
+                minmax[i].objective,
+                want_minmax.objective
+            );
+            assert_eq!(
+                mindist[i].answer, want_mindist.answer,
+                "{label}: mindist answer"
+            );
+            assert_eq!(
+                mindist[i].total.to_bits(),
+                want_mindist.total.to_bits(),
+                "{label}: mindist total {} vs {}",
+                mindist[i].total,
+                want_mindist.total
+            );
+            assert_eq!(
+                maxsum[i].answer, want_maxsum.answer,
+                "{label}: maxsum answer"
+            );
+            assert_eq!(maxsum[i].wins, want_maxsum.wins, "{label}: maxsum wins");
+        }
     }
 }
 
@@ -129,9 +156,6 @@ fn all_solvers_agree_on_random_venues() {
         let bs = BruteForceMaxSum::new(&tree).run(&case.clients, &case.existing, &case.candidates);
         let es = EfficientMaxSum::new(&tree).run(&case.clients, &case.existing, &case.candidates);
         assert_eq!(bs.wins, es.wins, "{label}: maxsum wins");
-
-        // Parallel reproduces serial bit for bit at every thread count.
-        assert_parallel_bit_identical(&tree, &case, &label);
     }
 }
 
@@ -161,7 +185,7 @@ fn degenerate_inputs_match_serial_at_every_thread_count() {
             existing: w.existing.clone(),
             candidates: w.candidates.clone(),
         },
-        // |Fn| = 1: a single candidate shard.
+        // |Fn| = 1: a single candidate.
         Case {
             venue: venue.clone(),
             clients: w.clients.clone(),
@@ -183,37 +207,7 @@ fn degenerate_inputs_match_serial_at_every_thread_count() {
             candidates: Vec::new(),
         },
     ];
-    for (i, case) in degenerates.iter().enumerate() {
-        assert_parallel_bit_identical(&tree, case, &format!("degenerate {i}"));
-    }
-}
-
-#[test]
-fn parallel_is_deterministic_across_threads_and_repeats() {
-    // ISSUE requirement: 1, 2, 4, 8 threads, 10 repeated runs, identical
-    // candidate id and objective bits every time.
-    let mut rng = StdRng::seed_from_u64(0x9a11_0002);
-    for case_no in 0..3 {
-        let case = random_case(&mut rng);
-        let tree = VipTree::build(&case.venue, VipTreeConfig::default());
-        let reference =
-            EfficientIfls::new(&tree).run(&case.clients, &case.existing, &case.candidates);
-        for threads in THREAD_COUNTS {
-            let par = ParallelSolver::with_threads(&tree, threads);
-            for run in 0..10 {
-                let got = par.run::<MinMax>(&case.clients, &case.existing, &case.candidates);
-                assert_eq!(
-                    got.answer, reference.answer,
-                    "case {case_no} t={threads} run {run}: answer"
-                );
-                assert_eq!(
-                    got.objective.to_bits(),
-                    reference.objective.to_bits(),
-                    "case {case_no} t={threads} run {run}: objective bits"
-                );
-            }
-        }
-    }
+    assert_batch_bit_identical(&tree, &degenerates);
 }
 
 #[test]
@@ -260,30 +254,11 @@ fn batch_runner_matches_serial_per_query() {
 }
 
 #[test]
-fn client_sharded_evaluation_matches_serial_oracle() {
-    let mut rng = StdRng::seed_from_u64(0x9a11_0004);
-    let case = random_case(&mut rng);
-    let tree = VipTree::build(&case.venue, VipTreeConfig::default());
-    for threads in THREAD_COUNTS {
-        let par = ParallelSolver::with_threads(&tree, threads);
-        for candidate in case.candidates.iter().map(|&n| Some(n)).chain([None]) {
-            let serial = evaluate_objective(&tree, &case.clients, &case.existing, candidate);
-            let sharded = par.evaluate_minmax_objective(&case.clients, &case.existing, candidate);
-            assert_eq!(
-                sharded.to_bits(),
-                serial.to_bits(),
-                "candidate {candidate:?} t={threads}: {sharded} vs {serial}"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_tie_break_prefers_lowest_partition_id() {
+fn tie_break_prefers_lowest_partition_id() {
     // Duplicate the same candidate partition under several ids by listing
     // every partition as a candidate: ties are then guaranteed for venues
     // with symmetric geometry, and the winner must be the lowest id among
-    // the bit-equal optima — regardless of candidate order or threading.
+    // the bit-equal optima — regardless of candidate order.
     let venue = GridVenueSpec::new("tie", 1, 16).build();
     let tree = VipTree::build(&venue, VipTreeConfig::default());
     let mut candidates: Vec<PartitionId> = venue.partition_ids().collect();
@@ -303,18 +278,5 @@ fn parallel_tie_break_prefers_lowest_partition_id() {
         if (serial.objective - brute.objective).abs() < 1e-12 {
             assert_eq!(s, b, "serial tie-break disagrees with oracle");
         }
-    }
-    for threads in THREAD_COUNTS {
-        let p = ParallelSolver::with_threads(&tree, threads).run::<MinMax>(
-            &w.clients,
-            &w.existing,
-            &candidates,
-        );
-        assert_eq!(p.answer, serial.answer, "t={threads}");
-        assert_eq!(
-            p.objective.to_bits(),
-            serial.objective.to_bits(),
-            "t={threads}"
-        );
     }
 }

@@ -32,7 +32,7 @@ pub enum Counter {
     /// Snapshot loads that were refused (typed `SnapshotError`) and fell
     /// back to an in-process build (`query --index-or-build`).
     SnapshotFallbacks = 8,
-    /// Panicked worker shards retried serially by the parallel
+    /// Panicked batch queries retried serially by the batch scheduler's
     /// coordinator (one tick per retried item).
     WorkerRetries = 9,
     /// Queries that returned a budget-degraded (best-so-far) answer.

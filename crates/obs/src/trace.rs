@@ -844,7 +844,7 @@ mod tests {
         let mut b = trace(6, 2_000_000, true);
         b.status = 200;
         b.objective = "maxsum".into();
-        b.algorithm = "parallel".into();
+        b.algorithm = "brute".into();
         b.gap = 1.5;
         b.reason = "deadline".into();
         b.slo_violation = true;

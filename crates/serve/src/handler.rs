@@ -97,7 +97,6 @@ struct QueryRequest {
     fn_: usize,
     seed: u64,
     sigma: Option<f64>,
-    threads: usize,
     dist_cache: bool,
     deadline_ms: Option<u64>,
     max_dist_computations: Option<u64>,
@@ -114,7 +113,6 @@ fn parse_query_request(body: &str) -> Result<QueryRequest, Response> {
         fn_: 20,
         seed: 0,
         sigma: None,
-        threads: 0,
         dist_cache: true,
         deadline_ms: None,
         max_dist_computations: None,
@@ -159,12 +157,6 @@ fn parse_query_request(body: &str) -> Result<QueryRequest, Response> {
                 JsonValue::Null => q.sigma = None,
                 _ => q.sigma = Some(value.as_f64().ok_or_else(|| type_err("a number"))?),
             },
-            "threads" => {
-                q.threads = value
-                    .as_u64()
-                    .ok_or_else(|| type_err("a non-negative integer"))?
-                    as usize
-            }
             "dist_cache" => q.dist_cache = value.as_bool().ok_or_else(|| type_err("a boolean"))?,
             "deadline_ms" => {
                 q.deadline_ms = Some(
@@ -279,21 +271,6 @@ fn prepare_query(shared: &Arc<Shared>, req: &Request) -> Result<PreparedQuery, R
     if q.fn_ == 0 {
         return Err(error_response(422, "limits", "fn must be at least 1"));
     }
-    // A parallel solve shards one request over min(threads, fn) scoped
-    // threads inside this pool worker, where admission control cannot see
-    // them: cap it at the host's parallelism, the value `threads: 0`
-    // resolves to. Other algorithms ignore `threads`.
-    let max_threads = ifls_core::parallel::default_threads();
-    if q.algorithm == Algorithm::Parallel && q.threads > max_threads {
-        return Err(error_response(
-            422,
-            "limits",
-            &format!(
-                "threads {} exceeds the host's {max_threads} available threads",
-                q.threads
-            ),
-        ));
-    }
     // Deadline precedence: request field > Deadline-Ms header > server
     // default. The budget clock starts *after* workload generation, like
     // the CLI's (provisioning is not serving).
@@ -321,7 +298,6 @@ fn prepare_query(shared: &Arc<Shared>, req: &Request) -> Result<PreparedQuery, R
         spec: SolveSpec {
             objective: q.objective,
             algorithm: q.algorithm,
-            threads: q.threads,
             dist_cache: q.dist_cache,
         },
         seed: q.seed,
@@ -494,7 +470,7 @@ pub(crate) fn route_batch(
             }
             Err(e) => {
                 // A query panicked twice (worker + retry): fail the whole
-                // group with the same typed error the parallel path uses.
+                // group with the same typed error the single-request path uses.
                 for &pi in &members {
                     let i = prepared[pi].0;
                     out[i] = Some((

@@ -1060,22 +1060,19 @@ fn finish_request_obs(
 }
 
 /// The per-(objective × algorithm) latency histogram name. Histogram keys
-/// are `&'static str`, so the 3×4 grid is a fixed table; an unknown pair
+/// are `&'static str`, so the 3×3 grid is a fixed table; an unknown pair
 /// (possible only if a new variant forgets this table) records nothing.
 fn combo_hist_name(objective: &str, algorithm: &str) -> Option<&'static str> {
     Some(match (objective, algorithm) {
         ("minmax", "efficient") => "serve_latency_minmax_efficient_ns",
         ("minmax", "baseline") => "serve_latency_minmax_baseline_ns",
         ("minmax", "brute") => "serve_latency_minmax_brute_ns",
-        ("minmax", "parallel") => "serve_latency_minmax_parallel_ns",
         ("mindist", "efficient") => "serve_latency_mindist_efficient_ns",
         ("mindist", "baseline") => "serve_latency_mindist_baseline_ns",
         ("mindist", "brute") => "serve_latency_mindist_brute_ns",
-        ("mindist", "parallel") => "serve_latency_mindist_parallel_ns",
         ("maxsum", "efficient") => "serve_latency_maxsum_efficient_ns",
         ("maxsum", "baseline") => "serve_latency_maxsum_baseline_ns",
         ("maxsum", "brute") => "serve_latency_maxsum_brute_ns",
-        ("maxsum", "parallel") => "serve_latency_maxsum_parallel_ns",
         _ => return None,
     })
 }

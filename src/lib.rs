@@ -58,7 +58,7 @@ pub use ifls_workloads as workloads;
 pub mod prelude {
     pub use ifls_core::{
         BatchRunner, BruteForce, EfficientConfig, EfficientIfls, IflsMonitor, IflsQuery, MaxSum,
-        MinDist, MinMax, MinMaxOutcome, ModifiedMinMax, ParallelSolver, QueryStats,
+        MinDist, MinMax, MinMaxOutcome, ModifiedMinMax, QueryStats,
     };
     pub use ifls_indoor::{
         DoorId, GroundTruth, IndoorPoint, PartitionId, Point, Rect, Venue, VenueBuilder,

@@ -42,7 +42,6 @@ fn oracle_prefix(
     let spec = SolveSpec {
         objective,
         algorithm,
-        threads: 0,
         dist_cache: true,
     };
     let summary = api::solve(
@@ -88,7 +87,6 @@ fn hammering_clients_all_match_the_serial_oracle() {
         (Objective::MinDist, Algorithm::Efficient),
         (Objective::MaxSum, Algorithm::Efficient),
         (Objective::MinMax, Algorithm::Brute),
-        (Objective::MinMax, Algorithm::Parallel),
     ];
     // Oracle answers are precomputed serially; the daemon is then hit by
     // THREADS concurrent clients re-asking the same questions.

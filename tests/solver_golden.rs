@@ -12,8 +12,6 @@
 //!   under three budgets: unlimited, a distance cap at half the unlimited
 //!   run's `dist_computations`, and a deterministic cancel at half the
 //!   checkpoints the unlimited run crosses (`ck` = checkpoints crossed);
-//! * the candidate-sharded parallel solver at 2 threads, unlimited and
-//!   under the same distance cap;
 //! * a 3-query batch through `api::solve_batch` and through `BatchRunner`,
 //!   both at 2 threads. `BatchRunner` rows omit the cache counters: its
 //!   persistent per-worker caches make the hit/miss split depend on which
@@ -156,7 +154,6 @@ fn rows_for(case: &Case) -> Vec<String> {
             let spec = SolveSpec {
                 objective,
                 algorithm: Algorithm::Efficient,
-                threads: 0,
                 dist_cache: cache,
             };
 
@@ -187,24 +184,6 @@ fn rows_for(case: &Case) -> Vec<String> {
             rows.push(summary_row(
                 &format!("{name} {obj} serial cache={on} budget=cancel:{trip}"),
                 Some(cancel.checkpoints_crossed()),
-                &s,
-            ));
-
-            let par = SolveSpec {
-                algorithm: Algorithm::Parallel,
-                threads: 2,
-                ..spec
-            };
-            let s = solve(case, &par, &Budget::unlimited());
-            rows.push(summary_row(
-                &format!("{name} {obj} par2 cache={on} budget=unlimited"),
-                None,
-                &s,
-            ));
-            let s = solve(case, &par, &Budget::unlimited().with_dist_cap(cap));
-            rows.push(summary_row(
-                &format!("{name} {obj} par2 cache={on} budget=cap:{cap}"),
-                None,
                 &s,
             ));
 
@@ -280,8 +259,6 @@ const GOLDEN: &str = "
 grid minmax serial cache=on budget=unlimited answer=28 value=4038c0644f8953b5 res=exact gap=0000000000000000 ck=636 dc=841 pv=312 fr=348 cp=73 ch=102 cm=739 cb=53072 pk=32662
 grid minmax serial cache=on budget=cap:420 answer=32 value=4038c0644f8953b5 res=dist_cap gap=4038c0644f8953b5 ck=147 dc=424 pv=105 fr=141 cp=11 ch=14 cm=410 cb=31384 pk=25806
 grid minmax serial cache=on budget=cancel:318 answer=28 value=4038c0644f8953b5 res=cancelled gap=402f10607d8278d0 ck=319 dc=685 pv=233 fr=269 cp=30 ch=69 cm=616 cb=35728 pk=32042
-grid minmax par2 cache=on budget=unlimited answer=28 value=4038c0644f8953b5 res=exact gap=0000000000000000 ck=- dc=1616 pv=413 fr=460 cp=146 ch=138 cm=1478 cb=106144 pk=61720
-grid minmax par2 cache=on budget=cap:420 answer=32 value=4038c0644f8953b5 res=dist_cap gap=4038c0644f8953b5 ck=- dc=842 pv=134 fr=181 cp=22 ch=18 cm=824 cb=62768 pk=49144
 grid minmax solve_batch2[0] cache=on budget=unlimited answer=28 value=4038c0644f8953b5 res=exact gap=0000000000000000 ck=- dc=841 pv=312 fr=348 cp=73 ch=102 cm=739 cb=53072 pk=32662
 grid minmax solve_batch2[1] cache=on budget=unlimited answer=26 value=403ea4bbe15d0154 res=exact gap=0000000000000000 ck=- dc=1002 pv=448 fr=475 cp=68 ch=173 cm=829 cb=53896 pk=33354
 grid minmax solve_batch2[2] cache=on budget=unlimited answer=14 value=40342b1f899bad00 res=exact gap=0000000000000000 ck=- dc=635 pv=261 fr=270 cp=27 ch=95 cm=540 cb=31392 pk=23742
@@ -291,8 +268,6 @@ grid minmax batch_runner2[2] cache=on budget=unlimited answer=14 value=40342b1f8
 grid minmax serial cache=off budget=unlimited answer=28 value=4038c0644f8953b5 res=exact gap=0000000000000000 ck=636 dc=841 pv=312 fr=348 cp=73 ch=0 cm=0 cb=0 pk=32662
 grid minmax serial cache=off budget=cap:420 answer=32 value=4038c0644f8953b5 res=dist_cap gap=4038c0644f8953b5 ck=147 dc=424 pv=105 fr=141 cp=11 ch=0 cm=0 cb=0 pk=25806
 grid minmax serial cache=off budget=cancel:318 answer=28 value=4038c0644f8953b5 res=cancelled gap=402f10607d8278d0 ck=319 dc=685 pv=233 fr=269 cp=30 ch=0 cm=0 cb=0 pk=32042
-grid minmax par2 cache=off budget=unlimited answer=28 value=4038c0644f8953b5 res=exact gap=0000000000000000 ck=- dc=1616 pv=413 fr=460 cp=146 ch=0 cm=0 cb=0 pk=61720
-grid minmax par2 cache=off budget=cap:420 answer=32 value=4038c0644f8953b5 res=dist_cap gap=4038c0644f8953b5 ck=- dc=842 pv=134 fr=181 cp=22 ch=0 cm=0 cb=0 pk=49144
 grid minmax solve_batch2[0] cache=off budget=unlimited answer=28 value=4038c0644f8953b5 res=exact gap=0000000000000000 ck=- dc=841 pv=312 fr=348 cp=73 ch=0 cm=0 cb=0 pk=32662
 grid minmax solve_batch2[1] cache=off budget=unlimited answer=26 value=403ea4bbe15d0154 res=exact gap=0000000000000000 ck=- dc=1002 pv=448 fr=475 cp=68 ch=0 cm=0 cb=0 pk=33354
 grid minmax solve_batch2[2] cache=off budget=unlimited answer=14 value=40342b1f899bad00 res=exact gap=0000000000000000 ck=- dc=635 pv=261 fr=270 cp=27 ch=0 cm=0 cb=0 pk=23742
@@ -302,8 +277,6 @@ grid minmax batch_runner2[2] cache=off budget=unlimited answer=14 value=40342b1f
 grid mindist serial cache=on budget=unlimited answer=32 value=4021ea2bad029a27 res=exact gap=0000000000000000 ck=640 dc=841 pv=312 fr=348 cp=74 ch=102 cm=739 cb=53072 pk=28034
 grid mindist serial cache=on budget=cap:420 answer=4 value=4027110b11a113ef res=dist_cap gap=408cd54dd60958eb ck=147 dc=424 pv=105 fr=141 cp=11 ch=14 cm=410 cb=31384 pk=22042
 grid mindist serial cache=on budget=cancel:320 answer=32 value=4021ea2bad029a25 res=cancelled gap=4066e0fec25f2448 ck=321 dc=693 pv=233 fr=269 cp=30 ch=69 cm=624 cb=35792 pk=27490
-grid mindist par2 cache=on budget=unlimited answer=32 value=4021ea2bad029a27 res=exact gap=0000000000000000 ck=- dc=1616 pv=413 fr=460 cp=148 ch=138 cm=1478 cb=106144 pk=54128
-grid mindist par2 cache=on budget=cap:420 answer=7 value=4026ec8287cf10d9 res=dist_cap gap=408ca7a329c2d50f ck=- dc=842 pv=134 fr=181 cp=22 ch=18 cm=824 cb=62768 pk=42832
 grid mindist solve_batch2[0] cache=on budget=unlimited answer=32 value=4021ea2bad029a27 res=exact gap=0000000000000000 ck=- dc=841 pv=312 fr=348 cp=74 ch=102 cm=739 cb=53072 pk=28034
 grid mindist solve_batch2[1] cache=on budget=unlimited answer=26 value=40285e9949e3149d res=exact gap=0000000000000000 ck=- dc=1005 pv=451 fr=478 cp=74 ch=176 cm=829 cb=53896 pk=28486
 grid mindist solve_batch2[2] cache=on budget=unlimited answer=14 value=40225f5567b182a2 res=exact gap=0000000000000000 ck=- dc=641 pv=267 fr=276 cp=32 ch=101 cm=540 cb=31392 pk=20474
@@ -313,8 +286,6 @@ grid mindist batch_runner2[2] cache=on budget=unlimited answer=14 value=4076f72a
 grid mindist serial cache=off budget=unlimited answer=32 value=4021ea2bad029a27 res=exact gap=0000000000000000 ck=640 dc=841 pv=312 fr=348 cp=74 ch=0 cm=0 cb=0 pk=28034
 grid mindist serial cache=off budget=cap:420 answer=4 value=4027110b11a113ef res=dist_cap gap=408cd54dd60958eb ck=147 dc=424 pv=105 fr=141 cp=11 ch=0 cm=0 cb=0 pk=22042
 grid mindist serial cache=off budget=cancel:320 answer=32 value=4021ea2bad029a25 res=cancelled gap=4066e0fec25f2448 ck=321 dc=693 pv=233 fr=269 cp=30 ch=0 cm=0 cb=0 pk=27490
-grid mindist par2 cache=off budget=unlimited answer=32 value=4021ea2bad029a27 res=exact gap=0000000000000000 ck=- dc=1616 pv=413 fr=460 cp=148 ch=0 cm=0 cb=0 pk=54128
-grid mindist par2 cache=off budget=cap:420 answer=7 value=4026ec8287cf10d9 res=dist_cap gap=408ca7a329c2d50f ck=- dc=842 pv=134 fr=181 cp=22 ch=0 cm=0 cb=0 pk=42832
 grid mindist solve_batch2[0] cache=off budget=unlimited answer=32 value=4021ea2bad029a27 res=exact gap=0000000000000000 ck=- dc=841 pv=312 fr=348 cp=74 ch=0 cm=0 cb=0 pk=28034
 grid mindist solve_batch2[1] cache=off budget=unlimited answer=26 value=40285e9949e3149d res=exact gap=0000000000000000 ck=- dc=1005 pv=451 fr=478 cp=74 ch=0 cm=0 cb=0 pk=28486
 grid mindist solve_batch2[2] cache=off budget=unlimited answer=14 value=40225f5567b182a2 res=exact gap=0000000000000000 ck=- dc=641 pv=267 fr=276 cp=32 ch=0 cm=0 cb=0 pk=20474
@@ -324,8 +295,6 @@ grid mindist batch_runner2[2] cache=off budget=unlimited answer=14 value=4076f72
 grid maxsum serial cache=on budget=unlimited answer=27 value=4037000000000000 res=exact gap=0000000000000000 ck=778 dc=850 pv=317 fr=353 cp=80 ch=103 cm=747 cb=53136 pk=28890
 grid maxsum serial cache=on budget=cap:425 answer=4 value=4018000000000000 res=dist_cap gap=404f800000000000 ck=149 dc=426 pv=105 fr=141 cp=11 ch=14 cm=412 cb=31384 pk=23230
 grid maxsum serial cache=on budget=cancel:389 answer=25 value=4033000000000000 res=cancelled gap=4031000000000000 ck=390 dc=737 pv=255 fr=291 cp=53 ch=80 cm=657 cb=36048 pk=28890
-grid maxsum par2 cache=on budget=unlimited answer=27 value=4037000000000000 res=exact gap=0000000000000000 ck=- dc=1634 pv=423 fr=470 cp=160 ch=140 cm=1494 cb=106272 pk=56244
-grid maxsum par2 cache=on budget=cap:425 answer=4 value=4018000000000000 res=dist_cap gap=404f800000000000 ck=- dc=866 pv=134 fr=181 cp=22 ch=18 cm=848 cb=62896 pk=46112
 grid maxsum solve_batch2[0] cache=on budget=unlimited answer=27 value=4037000000000000 res=exact gap=0000000000000000 ck=- dc=850 pv=317 fr=353 cp=80 ch=103 cm=747 cb=53136 pk=28890
 grid maxsum solve_batch2[1] cache=on budget=unlimited answer=25 value=4042800000000000 res=exact gap=0000000000000000 ck=- dc=1010 pv=470 fr=497 cp=80 ch=181 cm=829 cb=53896 pk=29566
 grid maxsum solve_batch2[2] cache=on budget=unlimited answer=26 value=4035000000000000 res=exact gap=0000000000000000 ck=- dc=676 pv=304 fr=313 cp=40 ch=118 cm=558 cb=31528 pk=20378
@@ -335,8 +304,6 @@ grid maxsum batch_runner2[2] cache=on budget=unlimited answer=26 value=403500000
 grid maxsum serial cache=off budget=unlimited answer=27 value=4037000000000000 res=exact gap=0000000000000000 ck=778 dc=850 pv=317 fr=353 cp=80 ch=0 cm=0 cb=0 pk=28890
 grid maxsum serial cache=off budget=cap:425 answer=4 value=4018000000000000 res=dist_cap gap=404f800000000000 ck=149 dc=426 pv=105 fr=141 cp=11 ch=0 cm=0 cb=0 pk=23230
 grid maxsum serial cache=off budget=cancel:389 answer=25 value=4033000000000000 res=cancelled gap=4031000000000000 ck=390 dc=737 pv=255 fr=291 cp=53 ch=0 cm=0 cb=0 pk=28890
-grid maxsum par2 cache=off budget=unlimited answer=27 value=4037000000000000 res=exact gap=0000000000000000 ck=- dc=1634 pv=423 fr=470 cp=160 ch=0 cm=0 cb=0 pk=56244
-grid maxsum par2 cache=off budget=cap:425 answer=4 value=4018000000000000 res=dist_cap gap=404f800000000000 ck=- dc=866 pv=134 fr=181 cp=22 ch=0 cm=0 cb=0 pk=46112
 grid maxsum solve_batch2[0] cache=off budget=unlimited answer=27 value=4037000000000000 res=exact gap=0000000000000000 ck=- dc=850 pv=317 fr=353 cp=80 ch=0 cm=0 cb=0 pk=28890
 grid maxsum solve_batch2[1] cache=off budget=unlimited answer=25 value=4042800000000000 res=exact gap=0000000000000000 ck=- dc=1010 pv=470 fr=497 cp=80 ch=0 cm=0 cb=0 pk=29566
 grid maxsum solve_batch2[2] cache=off budget=unlimited answer=26 value=4035000000000000 res=exact gap=0000000000000000 ck=- dc=676 pv=304 fr=313 cp=40 ch=0 cm=0 cb=0 pk=20378
@@ -347,8 +314,6 @@ grid minmax topk3 [28:4038c0644f8953b5,29:4038c0644f8953b5,31:4038c0644f8953b5]
 random minmax serial cache=on budget=unlimited answer=12 value=40457f30463cad1f res=exact gap=0000000000000000 ck=774 dc=958 pv=196 fr=215 cp=54 ch=104 cm=854 cb=53632 pk=25950
 random minmax serial cache=on budget=cap:479 answer=29 value=404b40228018073e res=dist_cap gap=4046955c00eeac72 ck=251 dc=480 pv=73 fr=92 cp=17 ch=38 cm=442 cb=30240 pk=20158
 random minmax serial cache=on budget=cancel:387 answer=12 value=40457f30463cad1f res=cancelled gap=4038ebb9b81f08fa ck=388 dc=653 pv=108 fr=127 cp=28 ch=55 cm=598 cb=33216 pk=22958
-random minmax par2 cache=on budget=unlimited answer=12 value=40457f30463cad1f res=exact gap=0000000000000000 ck=- dc=1866 pv=264 fr=288 cp=114 ch=138 cm=1728 cb=107552 pk=50912
-random minmax par2 cache=on budget=cap:479 answer=6 value=4047525b48a3e258 res=dist_cap gap=4042a0da77cc5887 ck=- dc=966 pv=99 fr=123 cp=34 ch=50 cm=916 cb=61184 pk=40136
 random minmax solve_batch2[0] cache=on budget=unlimited answer=12 value=40457f30463cad1f res=exact gap=0000000000000000 ck=- dc=958 pv=196 fr=215 cp=54 ch=104 cm=854 cb=53632 pk=25950
 random minmax solve_batch2[1] cache=on budget=unlimited answer=8 value=4043927daf335364 res=exact gap=0000000000000000 ck=- dc=964 pv=239 fr=252 cp=48 ch=115 cm=849 cb=54496 pk=27150
 random minmax solve_batch2[2] cache=on budget=unlimited answer=10 value=4040b6b3a6f55c37 res=exact gap=0000000000000000 ck=- dc=508 pv=68 fr=78 cp=25 ch=42 cm=466 cb=31008 pk=15010
@@ -358,8 +323,6 @@ random minmax batch_runner2[2] cache=on budget=unlimited answer=10 value=4040b6b
 random minmax serial cache=off budget=unlimited answer=12 value=40457f30463cad1f res=exact gap=0000000000000000 ck=774 dc=958 pv=196 fr=215 cp=54 ch=0 cm=0 cb=0 pk=25950
 random minmax serial cache=off budget=cap:479 answer=29 value=404b40228018073e res=dist_cap gap=4046955c00eeac72 ck=251 dc=480 pv=73 fr=92 cp=17 ch=0 cm=0 cb=0 pk=20158
 random minmax serial cache=off budget=cancel:387 answer=12 value=40457f30463cad1f res=cancelled gap=4038ebb9b81f08fa ck=388 dc=653 pv=108 fr=127 cp=28 ch=0 cm=0 cb=0 pk=22958
-random minmax par2 cache=off budget=unlimited answer=12 value=40457f30463cad1f res=exact gap=0000000000000000 ck=- dc=1866 pv=264 fr=288 cp=114 ch=0 cm=0 cb=0 pk=50912
-random minmax par2 cache=off budget=cap:479 answer=6 value=4047525b48a3e258 res=dist_cap gap=4042a0da77cc5887 ck=- dc=966 pv=99 fr=123 cp=34 ch=0 cm=0 cb=0 pk=40136
 random minmax solve_batch2[0] cache=off budget=unlimited answer=12 value=40457f30463cad1f res=exact gap=0000000000000000 ck=- dc=958 pv=196 fr=215 cp=54 ch=0 cm=0 cb=0 pk=25950
 random minmax solve_batch2[1] cache=off budget=unlimited answer=8 value=4043927daf335364 res=exact gap=0000000000000000 ck=- dc=964 pv=239 fr=252 cp=48 ch=0 cm=0 cb=0 pk=27150
 random minmax solve_batch2[2] cache=off budget=unlimited answer=10 value=4040b6b3a6f55c37 res=exact gap=0000000000000000 ck=- dc=508 pv=68 fr=78 cp=25 ch=0 cm=0 cb=0 pk=15010
@@ -369,8 +332,6 @@ random minmax batch_runner2[2] cache=off budget=unlimited answer=10 value=4040b6
 random mindist serial cache=on budget=unlimited answer=12 value=402e00c6a89d5e14 res=exact gap=0000000000000000 ck=800 dc=959 pv=198 fr=217 cp=55 ch=105 cm=854 cb=53632 pk=23958
 random mindist serial cache=on budget=cap:479 answer=29 value=40348938067cccf4 res=dist_cap gap=408920a8826528f6 ck=251 dc=480 pv=73 fr=92 cp=17 ch=38 cm=442 cb=30240 pk=18146
 random mindist serial cache=on budget=cancel:400 answer=12 value=402e00c6a89d5e14 res=cancelled gap=4063d21cf7560c7c ck=401 dc=661 pv=108 fr=127 cp=29 ch=55 cm=606 cb=33344 pk=21186
-random mindist par2 cache=on budget=unlimited answer=12 value=402e00c6a89d5e14 res=exact gap=0000000000000000 ck=- dc=1866 pv=264 fr=288 cp=115 ch=138 cm=1728 cb=107552 pk=47276
-random mindist par2 cache=on budget=cap:479 answer=12 value=402e00c6a89d5e14 res=dist_cap gap=407ce1e9554103f8 ck=- dc=966 pv=99 fr=123 cp=34 ch=50 cm=916 cb=61184 pk=36320
 random mindist solve_batch2[0] cache=on budget=unlimited answer=12 value=402e00c6a89d5e14 res=exact gap=0000000000000000 ck=- dc=959 pv=198 fr=217 cp=55 ch=105 cm=854 cb=53632 pk=23958
 random mindist solve_batch2[1] cache=on budget=unlimited answer=8 value=4030408562e110fe res=exact gap=0000000000000000 ck=- dc=975 pv=244 fr=257 cp=48 ch=118 cm=857 cb=54608 pk=23426
 random mindist solve_batch2[2] cache=on budget=unlimited answer=16 value=40287a35a24cd5a4 res=exact gap=0000000000000000 ck=- dc=509 pv=69 fr=79 cp=26 ch=43 cm=466 cb=31008 pk=14002
@@ -380,8 +341,6 @@ random mindist batch_runner2[2] cache=on budget=unlimited answer=16 value=4076f2
 random mindist serial cache=off budget=unlimited answer=12 value=402e00c6a89d5e14 res=exact gap=0000000000000000 ck=800 dc=959 pv=198 fr=217 cp=55 ch=0 cm=0 cb=0 pk=23958
 random mindist serial cache=off budget=cap:479 answer=29 value=40348938067cccf4 res=dist_cap gap=408920a8826528f6 ck=251 dc=480 pv=73 fr=92 cp=17 ch=0 cm=0 cb=0 pk=18146
 random mindist serial cache=off budget=cancel:400 answer=12 value=402e00c6a89d5e14 res=cancelled gap=4063d21cf7560c7c ck=401 dc=661 pv=108 fr=127 cp=29 ch=0 cm=0 cb=0 pk=21186
-random mindist par2 cache=off budget=unlimited answer=12 value=402e00c6a89d5e14 res=exact gap=0000000000000000 ck=- dc=1866 pv=264 fr=288 cp=115 ch=0 cm=0 cb=0 pk=47276
-random mindist par2 cache=off budget=cap:479 answer=12 value=402e00c6a89d5e14 res=dist_cap gap=407ce1e9554103f8 ck=- dc=966 pv=99 fr=123 cp=34 ch=0 cm=0 cb=0 pk=36320
 random mindist solve_batch2[0] cache=off budget=unlimited answer=12 value=402e00c6a89d5e14 res=exact gap=0000000000000000 ck=- dc=959 pv=198 fr=217 cp=55 ch=0 cm=0 cb=0 pk=23958
 random mindist solve_batch2[1] cache=off budget=unlimited answer=8 value=4030408562e110fe res=exact gap=0000000000000000 ck=- dc=975 pv=244 fr=257 cp=48 ch=0 cm=0 cb=0 pk=23426
 random mindist solve_batch2[2] cache=off budget=unlimited answer=16 value=40287a35a24cd5a4 res=exact gap=0000000000000000 ck=- dc=509 pv=69 fr=79 cp=26 ch=0 cm=0 cb=0 pk=14002
@@ -391,8 +350,6 @@ random mindist batch_runner2[2] cache=off budget=unlimited answer=16 value=4076f
 random maxsum serial cache=on budget=unlimited answer=6 value=403b000000000000 res=exact gap=0000000000000000 ck=903 dc=986 pv=208 fr=227 cp=60 ch=112 cm=874 cb=53920 pk=24478
 random maxsum serial cache=on budget=cap:493 answer=37 value=4020000000000000 res=dist_cap gap=4044800000000000 ck=258 dc=494 pv=76 fr=95 cp=17 ch=40 cm=454 cb=30528 pk=19030
 random maxsum serial cache=on budget=cancel:451 answer=29 value=4026000000000000 res=cancelled gap=403d000000000000 ck=452 dc=724 pv=125 fr=144 cp=31 ch=65 cm=659 cb=34224 pk=22634
-random maxsum par2 cache=on budget=unlimited answer=6 value=403b000000000000 res=exact gap=0000000000000000 ck=- dc=1882 pv=268 fr=292 cp=117 ch=139 cm=1743 cb=107760 pk=48416
-random maxsum par2 cache=on budget=cap:493 answer=37 value=4020000000000000 res=dist_cap gap=4043800000000000 ck=- dc=994 pv=105 fr=129 cp=38 ch=54 cm=940 cb=61568 pk=37780
 random maxsum solve_batch2[0] cache=on budget=unlimited answer=6 value=403b000000000000 res=exact gap=0000000000000000 ck=- dc=986 pv=208 fr=227 cp=60 ch=112 cm=874 cb=53920 pk=24478
 random maxsum solve_batch2[1] cache=on budget=unlimited answer=37 value=4042800000000000 res=exact gap=0000000000000000 ck=- dc=1016 pv=280 fr=293 cp=60 ch=129 cm=887 cb=55064 pk=24374
 random maxsum solve_batch2[2] cache=on budget=unlimited answer=10 value=4026000000000000 res=exact gap=0000000000000000 ck=- dc=523 pv=81 fr=91 cp=30 ch=47 cm=476 cb=31136 pk=13934
@@ -402,8 +359,6 @@ random maxsum batch_runner2[2] cache=on budget=unlimited answer=10 value=4026000
 random maxsum serial cache=off budget=unlimited answer=6 value=403b000000000000 res=exact gap=0000000000000000 ck=903 dc=986 pv=208 fr=227 cp=60 ch=0 cm=0 cb=0 pk=24478
 random maxsum serial cache=off budget=cap:493 answer=37 value=4020000000000000 res=dist_cap gap=4044800000000000 ck=258 dc=494 pv=76 fr=95 cp=17 ch=0 cm=0 cb=0 pk=19030
 random maxsum serial cache=off budget=cancel:451 answer=29 value=4026000000000000 res=cancelled gap=403d000000000000 ck=452 dc=724 pv=125 fr=144 cp=31 ch=0 cm=0 cb=0 pk=22634
-random maxsum par2 cache=off budget=unlimited answer=6 value=403b000000000000 res=exact gap=0000000000000000 ck=- dc=1882 pv=268 fr=292 cp=117 ch=0 cm=0 cb=0 pk=48416
-random maxsum par2 cache=off budget=cap:493 answer=37 value=4020000000000000 res=dist_cap gap=4043800000000000 ck=- dc=994 pv=105 fr=129 cp=38 ch=0 cm=0 cb=0 pk=37780
 random maxsum solve_batch2[0] cache=off budget=unlimited answer=6 value=403b000000000000 res=exact gap=0000000000000000 ck=- dc=986 pv=208 fr=227 cp=60 ch=0 cm=0 cb=0 pk=24478
 random maxsum solve_batch2[1] cache=off budget=unlimited answer=37 value=4042800000000000 res=exact gap=0000000000000000 ck=- dc=1016 pv=280 fr=293 cp=60 ch=0 cm=0 cb=0 pk=24374
 random maxsum solve_batch2[2] cache=off budget=unlimited answer=10 value=4026000000000000 res=exact gap=0000000000000000 ck=- dc=523 pv=81 fr=91 cp=30 ch=0 cm=0 cb=0 pk=13934
