@@ -45,7 +45,7 @@ use ifls_viptree::{DistCache, VipTree, VipTreeConfig};
 use ifls_workloads::{Workload, WorkloadBuilder};
 
 /// Bumped whenever a field is added, renamed, or re-interpreted.
-const SCHEMA: &str = "ifls-bench-core/v6";
+const SCHEMA: &str = "ifls-bench-core/v7";
 
 /// Below this many samples the reported percentiles are exact order
 /// statistics over the raw per-query times (nearest-rank convention); at
@@ -104,10 +104,6 @@ struct RowOut {
     /// Work-steal operations observed while the row ran (zero on the
     /// single-threaded streams; populated by batch rows).
     steals: u64,
-    /// Requests answered through a serve-side micro-batch while the row
-    /// ran (zero here — the serve benchmark populates it; the column is
-    /// part of the shared v5 schema).
-    batched_requests: u64,
     cache_hit_rate: Option<f64>,
     cache_bytes: usize,
     /// Bytes of the tree's warm tier as reported by the solvers (zero on
@@ -351,7 +347,7 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
              \"cache\": {}, \"queries\": {}, \"median_ns\": {}, \
              \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \
              \"dist_computations\": {}, \"queries_per_sec\": {:.3}, \
-             \"steals\": {}, \"batched_requests\": {}, \
+             \"steals\": {}, \
              \"cache_hit_rate\": {}, \
              \"cache_bytes\": {}, \"cache_warm_bytes\": {}, \
              \"index_build_ns\": {}, \"available_parallelism\": {}, \
@@ -368,7 +364,6 @@ fn write_json(path: &str, quick: bool, rows: &[RowOut]) -> std::io::Result<()> {
             r.dist_computations,
             r.queries_per_sec,
             r.steals,
-            r.batched_requests,
             hit_rate,
             r.cache_bytes,
             r.cache_warm_bytes,
@@ -615,7 +610,7 @@ fn cache_smoke() -> i32 {
 }
 
 /// The CI batch-throughput gate: 16 MZB MinMax queries that share one
-/// client set (the serving shape micro-batching targets) must run at
+/// client set (so the batch builds their client legs once) must run at
 /// least 1.2x faster through [`BatchRunner`] — shared client legs, one
 /// scheduler pass, persistent per-worker caches — than dispatched
 /// sequentially, each query standalone with a fresh cache. Answers must
@@ -627,8 +622,8 @@ fn batch_smoke() -> i32 {
     const THREADS: usize = 4;
     let venue = NamedVenue::MZB.build();
     let tree = VipTree::build(&venue, VipTreeConfig::default());
-    // The serving shape micro-batching is built for: every query shares
-    // one client population and draws its facilities from one shared pool
+    // The shape the batch engine is built for: every query shares one
+    // client population and draws its facilities from one shared pool
     // of 24 sites (8 existing + 12 candidates per query, distinct per-seed
     // shuffles). Facility overlap across queries is what the batch path's
     // persistent per-worker caches turn into saved distance work; the
@@ -1004,7 +999,6 @@ fn main() {
                     dist_computations: r.dist_computations,
                     queries_per_sec: queries_per_sec(&r.times_ns),
                     steals: 0,
-                    batched_requests: 0,
                     cache_hit_rate: if lookups == 0 {
                         None
                     } else {

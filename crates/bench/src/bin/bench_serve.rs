@@ -16,15 +16,6 @@
 //!
 //! `--smoke` is the CI gate: 100 requests, then exit non-zero unless
 //! every one came back `200` with a well-formed `ifls-stats/v1` body.
-//!
-//! `--burst` is the micro-batching gate, run against a daemon started
-//! with `--max-batch > 1`: it first replays every seed one at a time over
-//! a single connection (the queue never runs deep, so nothing batches),
-//! then fires the same seeds from many concurrent connections so the
-//! connection queue fills and `pop_batch` engages. It exits non-zero
-//! unless every burst answer is identical to its sequential baseline
-//! (volatile timing fields aside) and `/metrics` shows
-//! `batched_requests > 0`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -48,7 +39,6 @@ struct Config {
     vary_seed: bool,
     out: Option<String>,
     smoke: bool,
-    burst: bool,
     max_retries: u64,
     backoff_seed: u64,
 }
@@ -68,7 +58,6 @@ impl Default for Config {
             vary_seed: true,
             out: None,
             smoke: false,
-            burst: false,
             max_retries: 3,
             backoff_seed: 0x1F15,
         }
@@ -112,11 +101,6 @@ fn parse_args() -> Result<Config, String> {
                 cfg.smoke = true;
                 cfg.requests = 100;
                 cfg.concurrency = 4;
-            }
-            "--burst" => {
-                cfg.burst = true;
-                cfg.requests = 48;
-                cfg.concurrency = 12;
             }
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -189,147 +173,6 @@ fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, body: &st
     String::from_utf8(body)
         .map(|b| (status, b, retry_after))
         .map_err(|_| "response body is not UTF-8".into())
-}
-
-/// One-shot request on a fresh connection (used by the burst gate, where
-/// batched responses close the connection after the exchange anyway).
-fn exchange_once(addr: &str, body: &str) -> Exchange {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    exchange(&mut stream, &mut reader, body)
-}
-
-/// Plain GET, used to scrape `/metrics`.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let request = format!("GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n");
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("write: {e}"))?;
-    let mut out = String::new();
-    BufReader::new(stream)
-        .read_to_string(&mut out)
-        .map_err(|e| format!("read: {e}"))?;
-    Ok(out)
-}
-
-/// The request body the burst gate sends for one seed.
-fn burst_body(cfg: &Config, seed: u64) -> String {
-    format!(
-        "{{\"objective\":\"{}\",\"algorithm\":\"{}\",\"clients\":{},\"fe\":{},\"fn\":{},\"seed\":{seed}}}",
-        cfg.objective, cfg.algorithm, cfg.clients, cfg.fe, cfg.fn_
-    )
-}
-
-/// The deterministic slice of an `ifls-stats/v1` body: everything before
-/// the `stats` object (identity, answer, objective value, degradation)
-/// plus the `dist_computations` count pulled back out of it. Timing
-/// fields vary run to run; these must not.
-fn stable_answer(body: &str) -> Option<(String, String)> {
-    let prefix = body.split("\"stats\":").next()?.to_string();
-    let dist = body
-        .split("\"dist_computations\":")
-        .nth(1)?
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>();
-    Some((prefix, dist))
-}
-
-/// The `--burst` micro-batching gate (see the module docs).
-fn burst(cfg: &Config) -> i32 {
-    // Sequential baseline: one request in flight at a time, so the
-    // daemon's queue depth never reaches the micro-batch watermark.
-    let mut baseline = Vec::new();
-    for seed in 0..cfg.requests {
-        match exchange_once(&cfg.addr, &burst_body(cfg, seed)) {
-            Ok((200, body, _)) => match stable_answer(&body) {
-                Some(s) => baseline.push(s),
-                None => {
-                    eprintln!("burst FAILED: seed {seed} baseline body is not ifls-stats/v1");
-                    return 1;
-                }
-            },
-            Ok((status, body, _)) => {
-                eprintln!(
-                    "burst FAILED: seed {seed} baseline got {status}: {}",
-                    body.trim()
-                );
-                return 1;
-            }
-            Err(e) => {
-                eprintln!("burst FAILED: seed {seed} baseline: {e}");
-                return 1;
-            }
-        }
-    }
-
-    // Burst round: the same seeds from C concurrent connections.
-    let results: Vec<Mutex<Option<Exchange>>> =
-        (0..cfg.requests).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for t in 0..cfg.concurrency {
-            let results = &results;
-            scope.spawn(move || {
-                let mut seed = t as u64;
-                while seed < cfg.requests {
-                    let outcome = exchange_once(&cfg.addr, &burst_body(cfg, seed));
-                    *results[seed as usize].lock().unwrap() = Some(outcome);
-                    seed += cfg.concurrency as u64;
-                }
-            });
-        }
-    });
-
-    let mut failed = false;
-    for (seed, slot) in results.iter().enumerate() {
-        let outcome = slot.lock().unwrap().take().expect("every seed answered");
-        match outcome {
-            Ok((200, body, _)) => {
-                if stable_answer(&body).as_ref() != Some(&baseline[seed]) {
-                    eprintln!("burst FAILED: seed {seed} answer diverged from the baseline");
-                    failed = true;
-                }
-            }
-            Ok((status, body, _)) => {
-                eprintln!("burst FAILED: seed {seed} got {status}: {}", body.trim());
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("burst FAILED: seed {seed}: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    // The burst must actually have exercised the batch path.
-    let batched = match http_get(&cfg.addr, "/metrics") {
-        Ok(text) => text
-            .lines()
-            .find(|l| l.starts_with("ifls_events_total{name=\"batched_requests\"}"))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0),
-        Err(e) => {
-            eprintln!("burst FAILED: /metrics scrape: {e}");
-            return 1;
-        }
-    };
-    eprintln!(
-        "burst: {} seeds, {} batched request(s), answers {}",
-        cfg.requests,
-        batched,
-        if failed { "DIVERGED" } else { "identical" }
-    );
-    if batched == 0 {
-        eprintln!("burst FAILED: micro-batching never engaged (batched_requests == 0)");
-        failed = true;
-    }
-    if failed {
-        1
-    } else {
-        0
-    }
 }
 
 #[derive(Default)]
@@ -448,14 +291,11 @@ fn main() {
                 "usage: bench_serve --addr HOST:PORT [--requests N] [--concurrency C] \
                  [--objective O] [--algorithm A] [--clients N] [--fe N] [--fn N] \
                  [--deadline-ms N] [--fixed-seed] [--max-retries N] [--backoff-seed N] \
-                 [--out FILE] [--smoke] [--burst]"
+                 [--out FILE] [--smoke]"
             );
             std::process::exit(2);
         }
     };
-    if cfg.burst {
-        std::process::exit(burst(&cfg));
-    }
     let next = AtomicU64::new(0);
     let total = Mutex::new(Tally::default());
     let started = Instant::now();

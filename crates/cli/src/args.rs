@@ -4,6 +4,7 @@
 use std::fmt;
 
 use ifls_core::api::{Algorithm, Objective};
+use ifls_serve::ServeOptions;
 
 /// Usage text printed on parse errors.
 pub const USAGE: &str = "\
@@ -73,11 +74,6 @@ serve options:
                      slo_requests_good/bad and the remaining error budget
   --recorder-capacity N  flight-recorder size: request traces retained for
                      GET /debug/requests (default 64; 0 disables tracing)
-  --max-batch N      serve-side micro-batching: when the connection queue
-                     runs deep, up to N queued /query requests with the same
-                     solve shape are answered through one batch solve with
-                     shared client legs (default 1 = off; responses are
-                     bit-identical either way)
   --trace-dump FILE  where SIGUSR1 dumps the recorder's traces as
                      ifls-trace/v1 JSONL (default ifls-trace-dump.jsonl);
                      also where a graceful drain writes its final dump (plus
@@ -161,7 +157,7 @@ pub enum Command {
         /// Venue specification.
         venue: String,
         /// Daemon options.
-        args: ServeArgs,
+        args: ServeOptions,
     },
     /// `ifls trace`.
     Trace {
@@ -174,64 +170,11 @@ pub enum Command {
     },
 }
 
-/// Options for `ifls serve`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServeArgs {
-    /// Listen address (`host:port`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Worker threads serving connections (`0` = `min(4, cores)`).
-    pub workers: usize,
-    /// Admission watermark (parked connections beyond the workers).
-    pub queue_capacity: usize,
-    /// Largest accepted request body in bytes.
-    pub max_body_bytes: usize,
-    /// Default per-query deadline when the request names none.
-    pub default_deadline_ms: Option<u64>,
-    /// Install the `SIGHUP` → reload handler.
-    pub sighup: bool,
-    /// Serve from this `ifls-index/v1` snapshot.
-    pub index: Option<String>,
-    /// Fall back to an in-process build when the snapshot is refused.
-    pub index_or_build: bool,
-    /// Refuse the `--index-or-build` fallback (exit with a typed error).
-    pub strict: bool,
-    /// Worker threads for an in-process index build (0 = all cores).
-    pub build_threads: usize,
-    /// SLO latency target for `/query` in milliseconds (`None` = no SLO
-    /// accounting).
-    pub slo_ms: Option<u64>,
-    /// Flight-recorder capacity (0 disables per-request tracing).
-    pub recorder_capacity: usize,
-    /// `SIGUSR1` trace-dump path (`--no-trace-dump` clears it).
-    pub trace_dump: Option<String>,
-    /// Micro-batch ceiling for queued `/query` requests (1 = off).
-    pub max_batch: usize,
-    /// Heartbeat staleness (ms) before a worker is declared wedged.
-    pub worker_wedge_ms: u64,
-    /// Graceful-drain budget (ms) for queued + in-flight requests.
-    pub drain_deadline_ms: u64,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:8787".into(),
-            workers: 0,
-            queue_capacity: 64,
-            max_body_bytes: 64 * 1024,
-            default_deadline_ms: None,
-            sighup: true,
-            index: None,
-            index_or_build: false,
-            strict: false,
-            build_threads: 0,
-            slo_ms: None,
-            recorder_capacity: 64,
-            trace_dump: Some("ifls-trace-dump.jsonl".into()),
-            max_batch: 1,
-            worker_wedge_ms: 5_000,
-            drain_deadline_ms: 5_000,
-        }
+/// `ifls serve`'s defaults: the library's, listening on port 8787.
+pub(crate) fn serve_defaults() -> ServeOptions {
+    ServeOptions {
+        addr: "127.0.0.1:8787".into(),
+        ..ServeOptions::default()
     }
 }
 
@@ -556,7 +499,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "serve" => {
             let mut venue = None;
-            let mut a = ServeArgs::default();
+            let mut a = serve_defaults();
             while let Some(opt) = cur.next() {
                 match opt {
                     "--venue" => venue = Some(cur.value("--venue")?.to_string()),
@@ -567,10 +510,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--default-deadline-ms" => {
                         a.default_deadline_ms = Some(cur.parsed("--default-deadline-ms")?)
                     }
-                    "--no-sighup" => a.sighup = false,
-                    "--index" => a.index = Some(cur.value("--index")?.to_string()),
+                    "--no-sighup" => a.sighup_reload = false,
+                    "--index" => a.index = Some(cur.value("--index")?.into()),
                     "--index-or-build" => {
-                        a.index = Some(cur.value("--index-or-build")?.to_string());
+                        a.index = Some(cur.value("--index-or-build")?.into());
                         a.index_or_build = true;
                     }
                     "--build-threads" => a.build_threads = cur.parsed("--build-threads")?,
@@ -579,9 +522,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--recorder-capacity" => {
                         a.recorder_capacity = cur.parsed("--recorder-capacity")?
                     }
-                    "--trace-dump" => a.trace_dump = Some(cur.value("--trace-dump")?.to_string()),
+                    "--trace-dump" => a.trace_dump = Some(cur.value("--trace-dump")?.into()),
                     "--no-trace-dump" => a.trace_dump = None,
-                    "--max-batch" => a.max_batch = cur.parsed("--max-batch")?,
                     "--worker-wedge-ms" => a.worker_wedge_ms = cur.parsed("--worker-wedge-ms")?,
                     "--drain-deadline-ms" => {
                         a.drain_deadline_ms = cur.parsed("--drain-deadline-ms")?
@@ -619,6 +561,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -880,7 +823,7 @@ mod tests {
         match parse(&v(&["serve", "--venue", "named:mc"])).unwrap() {
             Command::Serve { venue, args } => {
                 assert_eq!(venue, "named:mc");
-                assert_eq!(args, ServeArgs::default());
+                assert_eq!(args, serve_defaults());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -910,8 +853,6 @@ mod tests {
             "128",
             "--trace-dump",
             "dump.jsonl",
-            "--max-batch",
-            "8",
             "--worker-wedge-ms",
             "750",
             "--drain-deadline-ms",
@@ -925,15 +866,14 @@ mod tests {
                 assert_eq!(args.queue_capacity, 16);
                 assert_eq!(args.max_body_bytes, 4096);
                 assert_eq!(args.default_deadline_ms, Some(250));
-                assert!(!args.sighup);
-                assert_eq!(args.index.as_deref(), Some("a.idx"));
+                assert!(!args.sighup_reload);
+                assert_eq!(args.index.as_deref(), Some(Path::new("a.idx")));
                 assert!(args.index_or_build);
                 assert_eq!(args.build_threads, 2);
                 assert!(args.strict);
                 assert_eq!(args.slo_ms, Some(50));
                 assert_eq!(args.recorder_capacity, 128);
-                assert_eq!(args.trace_dump.as_deref(), Some("dump.jsonl"));
-                assert_eq!(args.max_batch, 8);
+                assert_eq!(args.trace_dump.as_deref(), Some(Path::new("dump.jsonl")));
                 assert_eq!(args.worker_wedge_ms, 750);
                 assert_eq!(args.drain_deadline_ms, 1500);
             }
@@ -1038,6 +978,12 @@ mod tests {
         assert_eq!(
             parse(&v(&["query", "--venue", "x", "--threads", "2"])),
             Err(ParseError::UnknownOption("--threads".into()))
+        );
+        // The daemon answers every connection on its own: no batch size
+        // to set.
+        assert_eq!(
+            parse(&v(&["serve", "--venue", "x", "--max-batch", "8"])),
+            Err(ParseError::UnknownOption("--max-batch".into()))
         );
     }
 

@@ -652,26 +652,7 @@ pub fn execute(cmd: &Command) -> Result<String, CommandError> {
         }
         Command::Serve { venue, args } => {
             let v = load_venue(venue)?;
-            let opts = ifls_serve::ServeOptions {
-                addr: args.addr.clone(),
-                workers: args.workers,
-                queue_capacity: args.queue_capacity,
-                max_body_bytes: args.max_body_bytes,
-                default_deadline_ms: args.default_deadline_ms,
-                sighup_reload: args.sighup,
-                index: args.index.as_ref().map(std::path::PathBuf::from),
-                index_or_build: args.index_or_build,
-                strict: args.strict,
-                build_threads: args.build_threads,
-                slo_ms: args.slo_ms,
-                recorder_capacity: args.recorder_capacity,
-                trace_dump: args.trace_dump.as_ref().map(std::path::PathBuf::from),
-                max_batch: args.max_batch,
-                worker_wedge_ms: args.worker_wedge_ms,
-                drain_deadline_ms: args.drain_deadline_ms,
-                ..ifls_serve::ServeOptions::default()
-            };
-            let server = ifls_serve::Server::start(v, opts)
+            let server = ifls_serve::Server::start(v, args.clone())
                 .map_err(|e| CommandError::Invalid(e.to_string()))?;
             // The banner goes straight to stdout (not the returned report):
             // a daemon never returns, and wrapper scripts need the resolved

@@ -102,9 +102,7 @@ impl Algorithm {
     }
 }
 
-/// How to run one query: objective + algorithm + knobs. Equality is the
-/// serve-side micro-batch compatibility test: requests solve together
-/// only when their specs match field for field.
+/// How to run one query: objective + algorithm + knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SolveSpec {
     /// Which objective to optimize.
@@ -268,8 +266,8 @@ fn traced(
     (summary, trace)
 }
 
-/// One query of a serve-side micro-batch: a workload plus its own budget
-/// and (optional) trace context.
+/// One query of a [`solve_batch`] call: a workload plus its own budget and
+/// (optional) trace context.
 #[derive(Clone)]
 pub struct BatchQuery {
     /// Client positions `C`.
@@ -280,24 +278,29 @@ pub struct BatchQuery {
     pub candidates: Vec<PartitionId>,
     /// This query's own budget (its deadline clock is already running).
     pub budget: Budget,
-    /// Trace context when the caller's flight recorder is on.
+    /// Trace context for this query's span tree. Every caller passes
+    /// `None`; the field stays because `perfbench/` names it in its
+    /// `BatchQuery` literal. Once that literal drops it, this field goes,
+    /// [`solve_batch`] returns plain summaries and `traced` takes a plain
+    /// context.
     pub ctx: Option<ifls_obs::TraceContext>,
 }
 
 /// Answers many queries under one [`SolveSpec`] through the work-stealing
 /// batch scheduler, returning per-query summaries and traces in input
-/// order — the solver half of `ifls serve`'s micro-batching.
+/// order.
 ///
-/// Responses must be indistinguishable from the unbatched path, so every
-/// query gets a **fresh** [`ifls_viptree::DistCache`] (batching may never
-/// leak one request's cache state into another's stats); the amortization
-/// comes from sharing [`ClientLegs`](crate::explore) across queries with
-/// bitwise-identical client sets and from draining the batch through one
-/// scheduler pass instead of per-request dispatch. Each query runs wholly
-/// on one worker thread, so its [`ifls_obs::TraceScope`] captures the same
-/// span tree the unbatched path would. Only [`Algorithm::Efficient`] uses
-/// the shared legs and the workers; the other solver families answer the
-/// queries one by one on the calling thread, as unbatched calls would.
+/// Each summary must equal what [`solve`] returns for the same query, so
+/// every query gets a **fresh** [`ifls_viptree::DistCache`] (batching may
+/// never leak one query's cache state into another's stats); the
+/// amortization comes from sharing [`ClientLegs`](crate::explore) across
+/// queries with bitwise-identical client sets and from draining the batch
+/// through one scheduler pass instead of per-query dispatch. Each query
+/// runs wholly on one worker thread, so its [`ifls_obs::TraceScope`]
+/// captures the same span tree the unbatched path would. Only
+/// [`Algorithm::Efficient`] uses the shared legs and the workers; the
+/// other solver families answer the queries one by one on the calling
+/// thread, as unbatched calls would.
 /// `Err` is the scheduler's: a query that panicked on its worker and again
 /// on the coordinator's retry.
 pub fn solve_batch(

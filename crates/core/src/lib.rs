@@ -38,8 +38,8 @@
 //!   `run_with_cache` (through a caller-owned distance cache, under a
 //!   budget), plus MinMax's `run_topk`;
 //! * `BatchRunner::run::<P>` / `try_run::<P>`;
-//! * [`solve`] and [`api::solve_batch`], which pick the policy from an
-//!   [`Objective`] at run time (the CLI and daemon dispatch).
+//! * [`solve`] (the CLI and daemon dispatch) and [`api::solve_batch`],
+//!   which pick the policy from an [`Objective`] at run time.
 //!
 //! Each objective returns its own outcome type — [`MinMaxOutcome`] (the
 //! maximum distance), [`mindist::MinDistOutcome`] (the total distance),

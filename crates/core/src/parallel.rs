@@ -411,10 +411,9 @@ impl<'t, 'v> BatchRunner<'t, 'v> {
         budget: &Budget,
     ) -> Result<Vec<P::Outcome>, WorkerPanic> {
         let solver = EfficientSolver::<P>::with_config(self.tree, self.config);
-        // One legs table per *distinct* client set (see [`legs_pool`]):
-        // micro-batches typically carry many queries against one client
-        // population, so this collapses the batch's leg construction to a
-        // single pass.
+        // One legs table per *distinct* client set (see [`legs_pool`]): a
+        // batch often carries many queries against one client population,
+        // and then the batch builds its legs in a single pass.
         let (pool, by_query) = legs_pool(self.tree, queries.iter().map(|q| q.clients.as_slice()));
         try_run_indexed_state(
             self.threads,

@@ -72,20 +72,16 @@ pub enum Counter {
     /// counter this one is timing-dependent by design: which deque a
     /// thief hits varies run to run, while the answers never do.
     Steals = 21,
-    /// `/query` requests answered through a serve-side micro-batch (only
-    /// requests solved via the batch path tick this; a batch of one goes
-    /// through the ordinary per-request path and does not).
-    BatchedRequests = 22,
     /// Serve pool workers respawned by the supervisor after a death or a
     /// wedge (rate-limited by the respawn token bucket).
-    WorkersRespawned = 23,
+    WorkersRespawned = 22,
     /// Serve pool workers declared wedged (heartbeat stale past the
     /// configured wedge window) and retired by the supervisor.
-    WorkersWedged = 24,
+    WorkersWedged = 23,
 }
 
 /// Number of counter slots (the length of [`Counter::ALL`]).
-pub(crate) const NUM_COUNTERS: usize = 25;
+pub(crate) const NUM_COUNTERS: usize = 24;
 
 impl Counter {
     /// Every counter, in canonical export order.
@@ -112,7 +108,6 @@ impl Counter {
         Counter::TracesRecorded,
         Counter::TracesDropped,
         Counter::Steals,
-        Counter::BatchedRequests,
         Counter::WorkersRespawned,
         Counter::WorkersWedged,
     ];
@@ -142,7 +137,6 @@ impl Counter {
             Counter::TracesRecorded => "traces_recorded",
             Counter::TracesDropped => "traces_dropped",
             Counter::Steals => "steals",
-            Counter::BatchedRequests => "batched_requests",
             Counter::WorkersRespawned => "workers_respawned",
             Counter::WorkersWedged => "workers_wedged",
         }

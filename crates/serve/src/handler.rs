@@ -180,7 +180,7 @@ fn parse_query_request(body: &str) -> Result<QueryRequest, Response> {
 
 /// A `/query` request past every gate and ready to solve: the generated
 /// workload, its budget, and the spec. Produced by [`prepare_query`],
-/// consumed by [`solve_one`] (per-request path) or the batch solver.
+/// consumed by [`solve_one`].
 struct PreparedQuery {
     spec: SolveSpec,
     seed: u64,
@@ -206,8 +206,7 @@ fn query(
 }
 
 /// The `/query` front half: parse → validate → generate the workload and
-/// budget. Early returns are all typed errors, exactly the responses the
-/// pre-refactor single-path handler produced.
+/// budget. Early returns are all typed errors.
 fn prepare_query(shared: &Arc<Shared>, req: &Request) -> Result<PreparedQuery, Response> {
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) if !s.trim().is_empty() => s,
@@ -308,8 +307,8 @@ fn prepare_query(shared: &Arc<Shared>, req: &Request) -> Result<PreparedQuery, R
     })
 }
 
-/// The `/query` back half for one request: solve (traced when the
-/// recorder is on) and render the `ifls-stats/v1` line.
+/// The `/query` back half: solve (traced when the recorder is on) and
+/// render the `ifls-stats/v1` line.
 fn solve_one(
     shared: &Arc<Shared>,
     tv: &crate::TreeVersion,
@@ -342,14 +341,20 @@ fn solve_one(
     };
     match result {
         Ok(summary) => {
-            let resp = render_query(
-                shared,
-                tv,
-                &p.spec,
-                p.seed,
-                (p.clients.len(), p.existing.len(), p.candidates.len()),
+            let line = api::stats_json_line(
+                &WorkloadIdent {
+                    venue: shared.venue.name(),
+                    clients: p.clients.len(),
+                    existing: p.existing.len(),
+                    candidates: p.candidates.len(),
+                    seed: p.seed,
+                },
+                p.spec.objective,
+                p.spec.algorithm,
                 &summary,
             );
+            let resp = Response::new(200, "application/x-ndjson", format!("{line}\n"))
+                .with_header("Index-Version", tv.version.to_string());
             (resp, trace_out.or_else(|| ctx.map(base_trace)))
         }
         Err(e) => (
@@ -361,144 +366,6 @@ fn solve_one(
             ctx.map(base_trace),
         ),
     }
-}
-
-/// Renders one solved `/query` as its `ifls-stats/v1` NDJSON response.
-/// `counts` is `(clients, existing, candidates)` — passed separately so
-/// the batch path can report sizes after the workload vectors moved into
-/// the solver.
-fn render_query(
-    shared: &Arc<Shared>,
-    tv: &crate::TreeVersion,
-    spec: &SolveSpec,
-    seed: u64,
-    counts: (usize, usize, usize),
-    summary: &api::QuerySummary,
-) -> Response {
-    let line = api::stats_json_line(
-        &WorkloadIdent {
-            venue: shared.venue.name(),
-            clients: counts.0,
-            existing: counts.1,
-            candidates: counts.2,
-            seed,
-        },
-        spec.objective,
-        spec.algorithm,
-        summary,
-    );
-    Response::new(200, "application/x-ndjson", format!("{line}\n"))
-        .with_header("Index-Version", tv.version.to_string())
-}
-
-/// Answers a micro-batch of already-read requests, one response per
-/// request, in input order.
-///
-/// `/query` requests that parse, validate, and share a [`SolveSpec`] are
-/// solved together through [`api::solve_batch`] (fresh per-query caches,
-/// shared client legs — responses stay bit-identical to the unbatched
-/// path); each of them ticks the `batched_requests` counter. Everything
-/// else — other endpoints, refused requests, and singleton shapes — takes
-/// exactly the per-request path. One index snapshot is pinned for the
-/// whole batch, so a concurrent `/reload` cannot split a batch across
-/// index versions.
-pub(crate) fn route_batch(
-    shared: &Arc<Shared>,
-    reqs: &[Request],
-    ctxs: &[Option<obs::TraceContext>],
-) -> Vec<(Response, Option<obs::RequestTrace>)> {
-    let mut out: Vec<Option<(Response, Option<obs::RequestTrace>)>> =
-        (0..reqs.len()).map(|_| None).collect();
-    let mut prepared: Vec<(usize, PreparedQuery)> = Vec::new();
-    for (i, req) in reqs.iter().enumerate() {
-        if (req.method.as_str(), req.path.as_str()) == ("POST", "/query") {
-            match prepare_query(shared, req) {
-                Ok(p) => prepared.push((i, p)),
-                Err(resp) => out[i] = Some((resp, ctxs[i].map(base_trace))),
-            }
-        } else {
-            out[i] = Some(route(shared, req, ctxs[i]));
-        }
-    }
-    let tv = shared.current_tree();
-    // Group compatible queries by spec. Batches are small (≤ max-batch),
-    // so a linear scan beats hashing.
-    let mut groups: Vec<(SolveSpec, Vec<usize>)> = Vec::new();
-    for (pi, (_, p)) in prepared.iter().enumerate() {
-        match groups.iter_mut().find(|(s, _)| *s == p.spec) {
-            Some((_, members)) => members.push(pi),
-            None => groups.push((p.spec, vec![pi])),
-        }
-    }
-    for (spec, members) in groups {
-        if members.len() == 1 {
-            let (i, p) = &prepared[members[0]];
-            out[*i] = Some(solve_one(shared, &tv, p, ctxs[*i]));
-            continue;
-        }
-        // Hand the workload vectors to the batch solver without cloning;
-        // response rendering reads the counts back from `queries`.
-        let queries: Vec<api::BatchQuery> = members
-            .iter()
-            .map(|&pi| {
-                let (i, p) = &mut prepared[pi];
-                api::BatchQuery {
-                    clients: std::mem::take(&mut p.clients),
-                    existing: std::mem::take(&mut p.existing),
-                    candidates: std::mem::take(&mut p.candidates),
-                    budget: p.budget.clone(),
-                    ctx: ctxs[*i],
-                }
-            })
-            .collect();
-        match api::solve_batch(&tv.tree, batch_threads(shared), &queries, &spec) {
-            Ok(results) => {
-                obs::counter_add(obs::Counter::BatchedRequests, results.len() as u64);
-                for (k, (summary, trace)) in results.into_iter().enumerate() {
-                    let (i, p) = &prepared[members[k]];
-                    let q = &queries[k];
-                    let resp = render_query(
-                        shared,
-                        &tv,
-                        &p.spec,
-                        p.seed,
-                        (q.clients.len(), q.existing.len(), q.candidates.len()),
-                        &summary,
-                    );
-                    out[*i] = Some((resp, trace.or_else(|| ctxs[*i].map(base_trace))));
-                }
-            }
-            Err(e) => {
-                // A query panicked twice (worker + retry): fail the whole
-                // group with the same typed error the single-request path uses.
-                for &pi in &members {
-                    let i = prepared[pi].0;
-                    out[i] = Some((
-                        error_response(
-                            500,
-                            "worker_panic",
-                            &format!("parallel worker failure: {e}"),
-                        ),
-                        ctxs[i].map(base_trace),
-                    ));
-                }
-            }
-        }
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("every request answered by exactly one path"))
-        .collect()
-}
-
-/// Worker threads for the in-batch solver: the daemon's resolved worker
-/// count, floored at 2 so the scheduler's per-query panic isolation stays
-/// in effect (the serial path is deliberately panic-transparent).
-fn batch_threads(shared: &Arc<Shared>) -> usize {
-    let resolved = match shared.opts.workers {
-        0 => ifls_core::parallel::default_threads().min(4),
-        w => w,
-    };
-    resolved.max(2)
 }
 
 /// Good-request fraction the SLO error budget is sized against: a 99%

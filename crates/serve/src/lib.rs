@@ -47,7 +47,6 @@ mod pool;
 mod supervisor;
 
 pub use http::{read_request, write_response, HttpError, Request, Response};
-pub use pool::ConnQueue;
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -63,7 +62,7 @@ use ifls_obs::{self as obs, Counter, ObsSink};
 use ifls_viptree::{SnapshotError, VipTree, VipTreeConfig};
 
 /// How to run the daemon.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeOptions {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
@@ -113,13 +112,6 @@ pub struct ServeOptions {
     /// JSONL, readable with `ifls trace`). `None` disables the signal
     /// dump; the `GET /debug/requests` endpoint is unaffected.
     pub trace_dump: Option<PathBuf>,
-    /// Micro-batching: the most queued connections one worker drains and
-    /// answers in a single batch when the queue is running deep (`1`
-    /// disables batching). Batched `/query` requests that share a solve
-    /// shape are answered through the batch solver with shared client
-    /// legs; responses are bit-identical to the unbatched path, and every
-    /// batched connection is closed after its one exchange.
-    pub max_batch: usize,
     /// How long a worker's heartbeat may stand still before the
     /// supervisor declares it wedged, retires it, and spawns a
     /// replacement. Also sets the idle wake interval (a quarter of this,
@@ -153,7 +145,6 @@ impl Default for ServeOptions {
             slo_ms: None,
             recorder_capacity: 64,
             trace_dump: Some(PathBuf::from("ifls-trace-dump.jsonl")),
-            max_batch: 1,
             worker_wedge_ms: 5_000,
             drain_deadline_ms: 5_000,
             sigterm_drain: true,
@@ -764,22 +755,10 @@ fn shed(shared: &Arc<Shared>, conn: TcpStream, detail: &str) {
     }
 }
 
-/// One worker: park on the queue, own a connection for its keep-alive
-/// lifetime, answer request by request.
-///
-/// Connections are handled under `catch_unwind`: handlers validate their
-/// way out of every known panic, but an escaped panic must cost exactly
-/// one connection, never a worker — with a fixed pool, each lost worker
-/// would shrink capacity until the daemon accepts but never answers.
-/// Queue depth below which a worker serves connections one at a time even
-/// when `--max-batch` allows more: batching a trickle only adds latency
-/// without amortizing anything.
-const MICRO_BATCH_WATERMARK: usize = 2;
-
-/// Guard for one in-flight request (or batch): registered while a worker
-/// holds work, so the drain coordinator can wait for exactly the requests
-/// that were admitted. Drop-based so a panic unwinding through a handler
-/// still deregisters.
+/// Guard for one in-flight request: registered while a worker answers
+/// it, so the drain coordinator can wait for exactly the requests that
+/// were admitted. Drop-based so a panic unwinding through a handler still
+/// deregisters.
 pub(crate) struct InFlight<'a>(&'a Shared);
 
 impl<'a> InFlight<'a> {
@@ -795,8 +774,14 @@ impl Drop for InFlight<'_> {
     }
 }
 
+/// One worker: park on the queue, own a connection for its keep-alive
+/// lifetime, answer request by request.
+///
+/// Connections are handled under `catch_unwind`: handlers validate their
+/// way out of every known panic, but an escaped panic must cost exactly
+/// one connection, never a worker — with a fixed pool, each lost worker
+/// would shrink capacity until the daemon accepts but never answers.
 fn worker_loop(shared: &Arc<Shared>, slot: &supervisor::WorkerSlot) {
-    let max_batch = shared.opts.max_batch.max(1);
     let wedge = Duration::from_millis(shared.opts.worker_wedge_ms.max(1));
     let idle_wake = (wedge / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
     loop {
@@ -812,13 +797,8 @@ fn worker_loop(shared: &Arc<Shared>, slot: &supervisor::WorkerSlot) {
         if fault::should_fail(FaultPoint::WorkerHeartbeat) {
             panic!("injected worker death at worker_heartbeat");
         }
-        // With batching off the watermark never engages and this is the
-        // old single-pop loop (plus the idle wake for heartbeats).
-        let popped = shared
-            .queue
-            .pop_batch_timeout(max_batch, MICRO_BATCH_WATERMARK, idle_wake);
-        let mut batch = match popped {
-            pool::Popped::Conns(batch) => batch,
+        let (conn, queue_wait) = match shared.queue.pop_timeout(idle_wake) {
+            pool::Popped::Conn(conn, queue_wait) => (conn, queue_wait),
             pool::Popped::Idle => continue,
             pool::Popped::Closed => break,
         };
@@ -829,14 +809,8 @@ fn worker_loop(shared: &Arc<Shared>, slot: &supervisor::WorkerSlot) {
             panic!("injected worker death at queue_wedge");
         }
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if batch.len() == 1 {
-                let (conn, queue_wait) = batch.pop().expect("len checked");
-                obs::record_ns("serve_queue_wait_ns", queue_wait.as_nanos() as u64);
-                handle_connection(shared, conn, queue_wait);
-            } else {
-                let _guard = InFlight::new(shared);
-                handle_batch(shared, batch);
-            }
+            obs::record_ns("serve_queue_wait_ns", queue_wait.as_nanos() as u64);
+            handle_connection(shared, conn, queue_wait);
         }));
         if caught.is_err() {
             obs::counter_add(Counter::ServePanics, 1);
@@ -932,89 +906,6 @@ fn handle_connection(shared: &Arc<Shared>, conn: TcpStream, queue_wait: Duration
         if write.is_err() || close {
             return;
         }
-    }
-}
-
-/// Serves one micro-batch (two or more connections drained together by
-/// [`pool::ConnQueue::pop_batch`]): read one request from every
-/// connection, answer them through [`handler::route_batch`] — which
-/// solves compatible `/query` requests together with shared client legs —
-/// and write every response with `Connection: close`. Batched connections
-/// get exactly one exchange: keep-alive would couple unrelated clients'
-/// connection lifetimes to each other's batches.
-///
-/// Read errors get the same per-connection handling as
-/// [`handle_connection`]'s first read (protocol errors answered with a
-/// typed 4xx, EOF/IO errors dropped); those connections simply leave the
-/// batch. Traces, budgets, per-request latency records, and SLO
-/// accounting are all per request, exactly as on the unbatched path.
-fn handle_batch(shared: &Arc<Shared>, batch: Vec<(TcpStream, Duration)>) {
-    let mut writers: Vec<TcpStream> = Vec::with_capacity(batch.len());
-    let mut requests: Vec<http::Request> = Vec::with_capacity(batch.len());
-    let mut waits_ns: Vec<u64> = Vec::with_capacity(batch.len());
-    let mut started: Vec<Instant> = Vec::with_capacity(batch.len());
-    for (conn, queue_wait) in batch {
-        obs::record_ns("serve_queue_wait_ns", queue_wait.as_nanos() as u64);
-        let _ = conn.set_read_timeout(Some(shared.opts.read_timeout));
-        let mut writer = match conn.try_clone() {
-            Ok(c) => c,
-            Err(_) => continue,
-        };
-        let mut reader = BufReader::new(conn);
-        if fault::should_fail(FaultPoint::IoRead) {
-            let resp =
-                handler::error_response(400, "bad_request", "injected io_read fault").closing();
-            let _ = http::write_response(&mut writer, &resp);
-            continue;
-        }
-        match http::read_request(
-            &mut reader,
-            shared.opts.max_body_bytes,
-            shared.opts.request_read_timeout,
-        ) {
-            Ok(r) => {
-                writers.push(writer);
-                requests.push(r);
-                waits_ns.push(queue_wait.as_nanos() as u64);
-                started.push(Instant::now());
-            }
-            Err(HttpError::Eof) | Err(HttpError::Io(_)) => {}
-            Err(HttpError::BadRequest(detail)) => {
-                let resp = handler::error_response(400, "bad_request", &detail).closing();
-                let _ = http::write_response(&mut writer, &resp);
-            }
-            Err(HttpError::LengthRequired) => {
-                let resp = handler::error_response(
-                    411,
-                    "length_required",
-                    "body-carrying requests must send Content-Length",
-                )
-                .closing();
-                let _ = http::write_response(&mut writer, &resp);
-            }
-            Err(HttpError::PayloadTooLarge { declared, limit }) => {
-                let resp = handler::error_response(
-                    413,
-                    "payload_too_large",
-                    &format!("request body of {declared} B exceeds the {limit} B limit"),
-                )
-                .closing();
-                let _ = http::write_response(&mut writer, &resp);
-            }
-        }
-    }
-    let ctxs: Vec<Option<obs::TraceContext>> = requests
-        .iter()
-        .map(|_| shared.recorder.as_ref().map(|_| obs::TraceContext::next()))
-        .collect();
-    let answered = handler::route_batch(shared, &requests, &ctxs);
-    for (k, (response, trace)) in answered.into_iter().enumerate() {
-        obs::counter_add(Counter::RequestsTotal, 1);
-        let total_ns = started[k].elapsed().as_nanos() as u64;
-        obs::record_ns("serve_request_latency_ns", total_ns);
-        finish_request_obs(shared, response.status, trace, total_ns, waits_ns[k]);
-        shared.flush_local_obs();
-        let _ = http::write_response(&mut writers[k], &response.closing());
     }
 }
 

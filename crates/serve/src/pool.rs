@@ -7,7 +7,7 @@
 //! that would blow every deadline it eventually serves.
 //!
 //! Every admitted connection is stamped at enqueue time, and
-//! [`ConnQueue::pop`] hands the worker the measured **queue wait**
+//! [`ConnQueue::pop_timeout`] hands the worker the measured **queue wait**
 //! (enqueue → dequeue) alongside the stream — the otherwise-invisible
 //! slice of request latency spent parked behind the pool, recorded as the
 //! `serve_queue_wait_ns` histogram and in each request trace.
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// A bounded MPMC queue of accepted connections (`Mutex` + `Condvar`;
 /// nothing fancier is needed — pushes are one acceptor thread, pops are a
 /// handful of workers parked between connections).
-pub struct ConnQueue {
+pub(crate) struct ConnQueue {
     inner: Mutex<QueueState>,
     ready: Condvar,
     capacity: usize,
@@ -41,10 +41,10 @@ const DRAIN_RATE_SAMPLES: usize = 128;
 /// drained quickly a minute ago says nothing about how fast it drains now.
 const DRAIN_RATE_WINDOW: Duration = Duration::from_secs(10);
 
-/// What [`ConnQueue::pop_batch_timeout`] woke up with.
+/// What [`ConnQueue::pop_timeout`] woke up with.
 pub(crate) enum Popped {
-    /// One or more connections, each with its measured queue wait.
-    Conns(Vec<(TcpStream, Duration)>),
+    /// A connection and its measured queue wait.
+    Conn(TcpStream, Duration),
     /// The timeout elapsed with nothing queued — the caller should tick
     /// its heartbeat and park again.
     Idle,
@@ -98,64 +98,18 @@ impl ConnQueue {
         Ok(())
     }
 
-    /// Blocks until a connection is available or the queue closes.
-    /// Returns the connection and how long it waited parked in the queue.
-    /// `None` means shutdown: the worker should exit its loop.
-    pub fn pop(&self) -> Option<(TcpStream, Duration)> {
+    /// Waits up to `timeout` for a connection and returns it with how long
+    /// it waited parked in the queue. The bounded wait lets a parked worker
+    /// tick its supervision heartbeat: an idle worker and a wedged worker
+    /// look identical to the supervisor unless idleness itself produces
+    /// ticks.
+    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Popped {
+        let deadline = Instant::now() + timeout;
         let mut st = self.inner.lock().unwrap();
         loop {
             if let Some((conn, enqueued)) = st.conns.pop_front() {
                 st.note_pop(Instant::now());
-                return Some((conn, enqueued.elapsed()));
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap();
-        }
-    }
-
-    /// Like [`pop`](Self::pop), but drains up to `max` connections in one
-    /// call when the queue is running deep — the admission side of serve
-    /// micro-batching. Blocks for the first connection exactly like
-    /// `pop`; extras are drained without blocking, and only when the
-    /// total depth at wake-up (the popped connection plus what is still
-    /// parked) reaches `low_watermark` — below that, batching a trickle
-    /// would only add latency without amortizing anything. Every
-    /// connection keeps its own queue-wait measurement. `None` means
-    /// shutdown, exactly like `pop`.
-    pub fn pop_batch(
-        &self,
-        max: usize,
-        low_watermark: usize,
-    ) -> Option<Vec<(TcpStream, Duration)>> {
-        let mut st = self.inner.lock().unwrap();
-        loop {
-            if let Some(batch) = Self::drain_batch(&mut st, max, low_watermark) {
-                return Some(batch);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap();
-        }
-    }
-
-    /// Like [`pop_batch`](Self::pop_batch), but wakes after `timeout` even
-    /// when nothing arrives, so a parked worker can tick its supervision
-    /// heartbeat: an idle worker and a wedged worker look identical to the
-    /// supervisor unless idleness itself produces ticks.
-    pub(crate) fn pop_batch_timeout(
-        &self,
-        max: usize,
-        low_watermark: usize,
-        timeout: Duration,
-    ) -> Popped {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.lock().unwrap();
-        loop {
-            if let Some(batch) = Self::drain_batch(&mut st, max, low_watermark) {
-                return Popped::Conns(batch);
+                return Popped::Conn(conn, enqueued.elapsed());
             }
             if st.closed {
                 return Popped::Closed;
@@ -170,31 +124,6 @@ impl ConnQueue {
                 return Popped::Idle;
             }
         }
-    }
-
-    /// Shared drain step for the pop variants: takes the first connection
-    /// plus up to `max - 1` extras when the depth clears `low_watermark`.
-    fn drain_batch(
-        st: &mut QueueState,
-        max: usize,
-        low_watermark: usize,
-    ) -> Option<Vec<(TcpStream, Duration)>> {
-        let (conn, enqueued) = st.conns.pop_front()?;
-        let now = Instant::now();
-        st.note_pop(now);
-        let mut batch = vec![(conn, enqueued.elapsed())];
-        if 1 + st.conns.len() >= low_watermark {
-            while batch.len() < max {
-                match st.conns.pop_front() {
-                    Some((c, t)) => {
-                        st.note_pop(now);
-                        batch.push((c, t.elapsed()));
-                    }
-                    None => break,
-                }
-            }
-        }
-        Some(batch)
     }
 
     /// Observed drain rate in connections per second over the recent pop
@@ -220,8 +149,8 @@ impl ConnQueue {
         (st.pop_times.len() - 1) as f64 / span
     }
 
-    /// Closes the queue: parked connections are dropped, blocked `pop`s
-    /// wake with `None`, later pushes are refused.
+    /// Closes the queue: parked connections are dropped, waiting pops
+    /// wake with [`Popped::Closed`], later pushes are refused.
     pub fn close(&self) {
         let mut st = self.inner.lock().unwrap();
         st.closed = true;
@@ -244,6 +173,16 @@ mod tests {
         c
     }
 
+    /// [`ConnQueue::pop_timeout`] with a timeout no test waits out: `Some`
+    /// is a connection and its queue wait, `None` the close.
+    fn pop(q: &ConnQueue) -> Option<(TcpStream, Duration)> {
+        match q.pop_timeout(Duration::from_secs(10)) {
+            Popped::Conn(conn, wait) => Some((conn, wait)),
+            Popped::Closed => None,
+            Popped::Idle => panic!("nothing popped within 10 s"),
+        }
+    }
+
     #[test]
     fn push_pop_and_watermark() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -253,7 +192,7 @@ mod tests {
         assert_eq!(q.depth(), 2);
         // At the watermark: the third is handed back (would be shed).
         assert!(q.try_push(conn_pair(&listener)).is_err());
-        assert!(q.pop().is_some());
+        assert!(pop(&q).is_some());
         assert_eq!(q.depth(), 1);
         assert!(q.try_push(conn_pair(&listener)).is_ok());
     }
@@ -264,7 +203,7 @@ mod tests {
         let q = ConnQueue::new(4);
         q.try_push(conn_pair(&listener)).unwrap();
         std::thread::sleep(Duration::from_millis(15));
-        let (_conn, wait) = q.pop().unwrap();
+        let (_conn, wait) = pop(&q).unwrap();
         assert!(
             wait >= Duration::from_millis(15),
             "queue wait {wait:?} must cover the parked time"
@@ -272,40 +211,21 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_above_the_watermark_only() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let q = ConnQueue::new(8);
-        // Depth 1 is below the watermark: no draining, a batch of one.
-        q.try_push(conn_pair(&listener)).unwrap();
-        let batch = q.pop_batch(4, 2).unwrap();
-        assert_eq!(batch.len(), 1);
-        // Depth 3 clears the watermark: drained up to `max`.
-        for _ in 0..3 {
-            q.try_push(conn_pair(&listener)).unwrap();
-        }
-        let batch = q.pop_batch(2, 2).unwrap();
-        assert_eq!(batch.len(), 2, "capped at max");
-        let batch = q.pop_batch(4, 1).unwrap();
-        assert_eq!(batch.len(), 1, "only one left to drain");
-        assert_eq!(q.depth(), 0);
-    }
-
-    #[test]
-    fn pop_batch_timeout_distinguishes_idle_from_closed() {
+    fn pop_timeout_distinguishes_idle_from_closed() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let q = ConnQueue::new(4);
         // Empty queue: the timeout elapses and reports Idle.
-        match q.pop_batch_timeout(4, 2, Duration::from_millis(10)) {
+        match q.pop_timeout(Duration::from_millis(10)) {
             Popped::Idle => {}
             _ => panic!("expected Idle on an empty open queue"),
         }
         q.try_push(conn_pair(&listener)).unwrap();
-        match q.pop_batch_timeout(4, 2, Duration::from_millis(10)) {
-            Popped::Conns(batch) => assert_eq!(batch.len(), 1),
+        match q.pop_timeout(Duration::from_millis(10)) {
+            Popped::Conn(..) => assert_eq!(q.depth(), 0),
             _ => panic!("expected the parked connection"),
         }
         q.close();
-        match q.pop_batch_timeout(4, 2, Duration::from_millis(10)) {
+        match q.pop_timeout(Duration::from_millis(10)) {
             Popped::Closed => {}
             _ => panic!("expected Closed after close()"),
         }
@@ -317,11 +237,11 @@ mod tests {
         let q = ConnQueue::new(8);
         assert_eq!(q.drain_rate_per_sec(), 0.0);
         q.try_push(conn_pair(&listener)).unwrap();
-        let _ = q.pop();
+        let _ = pop(&q);
         assert_eq!(q.drain_rate_per_sec(), 0.0, "one pop is not a rate");
         q.try_push(conn_pair(&listener)).unwrap();
         std::thread::sleep(Duration::from_millis(10));
-        let _ = q.pop();
+        let _ = pop(&q);
         assert!(
             q.drain_rate_per_sec() > 0.0,
             "two pops spanning an interval yield a positive rate"
@@ -334,15 +254,23 @@ mod tests {
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop().is_none())
+                std::thread::spawn(move || pop(&q).is_none())
             })
             .collect();
         // Give the workers a moment to park, then close.
         std::thread::sleep(std::time::Duration::from_millis(20));
+        let closed_at = Instant::now();
         q.close();
         for h in handles {
             assert!(h.join().unwrap(), "worker should see shutdown");
         }
+        // A pop that `close` did not wake would still see `Closed`, but
+        // only once its 10 s wait ran out.
+        let woke_in = closed_at.elapsed();
+        assert!(
+            woke_in < Duration::from_secs(2),
+            "close() must wake parked pops, took {woke_in:?}"
+        );
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         assert!(q.try_push(conn_pair(&listener)).is_err());
     }
