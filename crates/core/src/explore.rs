@@ -4,14 +4,19 @@
 //! The traversal maintains one global priority queue of
 //! `(source partition, indoor entity)` pairs keyed by `iMinD`. Per source,
 //! the expansion starts at the source's leaf and walks parents and
-//! children, never enqueueing an entity twice for the same source. Because
+//! children, never enqueueing an entity twice for the same source. The
+//! tree's shape guarantees that without a visited set: a node off the
+//! source's root path is reached only from its parent, a node on it only
+//! from its child on that path, and a partition only from its own leaf. So
+//! only a node on the path queues its parent, and it skips the path's
+//! child; a popped partition queues nothing (its leaf is queued). Because
 //! every pushed key is at least its parent entry's key (ancestors of the
 //! source have key 0 and are expanded first), dequeued keys are globally
 //! non-decreasing — which makes the last dequeued key a valid global
 //! distance bound `Gd` (§5.2).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use ifls_indoor::PartitionId;
 use ifls_viptree::cache::combine_legs;
@@ -116,6 +121,9 @@ impl Ord for Event {
 /// Approximate byte sizes used by the structural memory meter.
 pub(crate) const Q_ENTRY_BYTES: isize = std::mem::size_of::<QEntry>() as isize;
 pub(crate) const EVENT_BYTES: isize = std::mem::size_of::<Event>() as isize;
+/// Algorithm 3's per-source visited mark. [`Explorer`] stores none, but the
+/// meter models the paper's query-time structures, so each queued pair is
+/// still charged one (the golden table's `pk` column pins that).
 pub(crate) const VISITED_BYTES: isize = 16;
 
 /// Pops the closest event of `heap` if it lies within `bound`, taking its
@@ -184,14 +192,14 @@ impl Events {
     }
 }
 
-/// The shared queue + visited-set machinery.
+/// The shared queue machinery; the tree's shape queues each `(source,
+/// entity)` pair once (see the module docs).
 pub(crate) struct Explorer<'t, 'v> {
     tree: &'t VipTree<'v>,
     queue: BinaryHeap<QEntry>,
-    visited: HashSet<(PartitionId, Entity)>,
-    /// `iMinD` evaluations performed by `enqueue` and `expand`.
+    /// `iMinD` evaluations performed by `expand`.
     pub dist_computations: u64,
-    /// The unvisited children of the current expansion, and their keys.
+    /// The children queued by the current expansion, and their keys.
     fresh_parts: Vec<PartitionId>,
     fresh_nodes: Vec<NodeId>,
     keys: Vec<f64>,
@@ -203,7 +211,6 @@ impl<'t, 'v> Explorer<'t, 'v> {
         Self {
             tree,
             queue: BinaryHeap::new(),
-            visited: HashSet::new(),
             dist_computations: 0,
             fresh_parts: Vec::new(),
             fresh_nodes: Vec::new(),
@@ -212,17 +219,10 @@ impl<'t, 'v> Explorer<'t, 'v> {
     }
 
     /// Seeds a source partition: enqueues its leaf node at key 0
-    /// (Algorithm 3 lines 3–6).
+    /// (Algorithm 3 lines 3–6). Seed each source at most once.
     pub fn seed_source(&mut self, p: PartitionId, meter: &mut MemoryMeter) {
         let leaf = self.tree.leaf_of_partition(p);
-        if self.visited.insert((p, Entity::Node(leaf))) {
-            self.queue.push(QEntry {
-                key: 0.0,
-                source: p,
-                entity: Entity::Node(leaf),
-            });
-            meter.add(Q_ENTRY_BYTES + VISITED_BYTES);
-        }
+        Self::push(&mut self.queue, p, Entity::Node(leaf), 0.0, meter);
     }
 
     /// Pops the globally closest pending entry.
@@ -233,68 +233,61 @@ impl<'t, 'v> Explorer<'t, 'v> {
         Some(e)
     }
 
-    /// Expands a dequeued non-facility entity for its source: the parent
-    /// and all children not equal to the source (Algorithm 3 lines 14–22).
-    /// `iMinD` keys are computed through `cache`, the unvisited children's
-    /// in one sibling batch.
+    /// Expands a dequeued node for its source (Algorithm 3 lines 14–22):
+    /// on the source's root path, queues the parent and every child but
+    /// the path's own (below a leaf, the source); off it, every child.
+    /// `iMinD` keys are computed through `cache`, the children's in one
+    /// sibling batch.
     pub fn expand(
         &mut self,
         source: PartitionId,
-        entity: Entity,
+        node: NodeId,
         cache: &mut DistCache,
         meter: &mut MemoryMeter,
     ) {
-        match entity {
-            Entity::Part(part) => {
-                let leaf = self.tree.leaf_of_partition(part);
-                self.enqueue(source, Entity::Node(leaf), cache, meter);
+        let tree = self.tree;
+        let leaf = tree.leaf_of_partition(source);
+        let on_path = tree.is_ancestor_or_self(node, leaf);
+        if on_path {
+            if let Some(parent) = tree.parent(node) {
+                self.dist_computations += 1;
+                let key = cache.min_dist_partition_to_node(tree, source, parent);
+                Self::push(&mut self.queue, source, Entity::Node(parent), key, meter);
             }
-            Entity::Node(node) => {
-                if let Some(parent) = self.tree.parent(node) {
-                    self.enqueue(source, Entity::Node(parent), cache, meter);
+        }
+        match tree.children(node) {
+            NodeChildren::Partitions(parts) => {
+                self.fresh_parts.clear();
+                self.fresh_parts
+                    .extend(parts.iter().copied().filter(|&ch| ch != source));
+                cache.min_dists_partition_to_partitions(
+                    tree,
+                    source,
+                    &self.fresh_parts,
+                    &mut self.keys,
+                );
+                for (&ch, &key) in self.fresh_parts.iter().zip(&self.keys) {
+                    Self::push(&mut self.queue, source, Entity::Part(ch), key, meter);
                 }
-                match self.tree.children(node) {
-                    NodeChildren::Partitions(parts) => {
-                        self.fresh_parts.clear();
-                        self.fresh_parts.extend(parts.iter().copied().filter(|&ch| {
-                            ch != source && self.visited.insert((source, Entity::Part(ch)))
-                        }));
-                        cache.min_dists_partition_to_partitions(
-                            self.tree,
-                            source,
-                            &self.fresh_parts,
-                            &mut self.keys,
-                        );
-                        for (&ch, &key) in self.fresh_parts.iter().zip(&self.keys) {
-                            Self::push(&mut self.queue, source, Entity::Part(ch), key, meter);
-                        }
-                        self.dist_computations += self.fresh_parts.len() as u64;
-                    }
-                    NodeChildren::Nodes(ns) => {
-                        self.fresh_nodes.clear();
-                        self.fresh_nodes.extend(
-                            ns.iter()
-                                .copied()
-                                .filter(|&ch| self.visited.insert((source, Entity::Node(ch)))),
-                        );
-                        cache.min_dists_partition_to_nodes(
-                            self.tree,
-                            source,
-                            &self.fresh_nodes,
-                            &mut self.keys,
-                        );
-                        for (&ch, &key) in self.fresh_nodes.iter().zip(&self.keys) {
-                            Self::push(&mut self.queue, source, Entity::Node(ch), key, meter);
-                        }
-                        self.dist_computations += self.fresh_nodes.len() as u64;
-                    }
+                self.dist_computations += self.fresh_parts.len() as u64;
+            }
+            NodeChildren::Nodes(ns) => {
+                let path_child =
+                    on_path.then(|| tree.ancestor_at_depth(leaf, tree.depth(node) + 1));
+                self.fresh_nodes.clear();
+                self.fresh_nodes
+                    .extend(ns.iter().copied().filter(|&ch| Some(ch) != path_child));
+                cache.min_dists_partition_to_nodes(tree, source, &self.fresh_nodes, &mut self.keys);
+                for (&ch, &key) in self.fresh_nodes.iter().zip(&self.keys) {
+                    Self::push(&mut self.queue, source, Entity::Node(ch), key, meter);
                 }
+                self.dist_computations += self.fresh_nodes.len() as u64;
             }
         }
     }
 
     /// Queues `(source, entity)` at `key`, charging `meter` for the entry
-    /// and its visited mark.
+    /// and the visited mark Algorithm 3 keeps for it ([`VISITED_BYTES`]).
     #[inline]
     fn push(
         queue: &mut BinaryHeap<QEntry>,
@@ -309,26 +302,6 @@ impl<'t, 'v> Explorer<'t, 'v> {
             entity,
         });
         meter.add(Q_ENTRY_BYTES + VISITED_BYTES);
-    }
-
-    /// Enqueues `(source, entity)` with its `iMinD` key unless already
-    /// enqueued for this source.
-    fn enqueue(
-        &mut self,
-        source: PartitionId,
-        entity: Entity,
-        cache: &mut DistCache,
-        meter: &mut MemoryMeter,
-    ) {
-        if !self.visited.insert((source, entity)) {
-            return;
-        }
-        self.dist_computations += 1;
-        let key = match entity {
-            Entity::Node(n) => cache.min_dist_partition_to_node(self.tree, source, n),
-            Entity::Part(p) => cache.min_dist_partition_to_partition(self.tree, source, p),
-        };
-        Self::push(&mut self.queue, source, entity, key, meter);
     }
 }
 
@@ -373,9 +346,10 @@ impl ClientLegs {
 }
 
 /// Computes the exact distances from the given clients (all located in
-/// `source`) to facility partition `part`, grouped per §5 when `group` is
-/// set: the per-door distance vector is fetched once (through the cache)
-/// and combined with each client's precomputed door legs.
+/// `source`) to facility partition `part` into `out` (cleared first),
+/// grouped per §5 when `group` is set: the per-door distance vector is
+/// fetched once (through the cache) and combined with each client's
+/// precomputed door legs.
 ///
 /// Accounting: the shared vector counts as **one** distance computation;
 /// each per-client combine counts as one `point_via` lookup. Ungrouped,
@@ -393,42 +367,111 @@ pub(crate) fn retrieval_dists(
     cache: &mut DistCache,
     dist_computations: &mut u64,
     point_via_lookups: &mut u64,
-) -> Vec<(u32, f64)> {
+    out: &mut Vec<(u32, f64)>,
+) {
+    out.clear();
     if ids.is_empty() {
-        return Vec::new();
+        return;
     }
     if group {
         *dist_computations += 1;
         let shared = cache.door_dists(tree, source, part);
-        ids.iter()
-            .map(|&c| {
-                *point_via_lookups += 1;
-                let d = if clients[c as usize].partition == part {
-                    0.0
-                } else {
-                    combine_legs(legs.get(c as usize), shared)
-                };
-                (c, d)
-            })
-            .collect()
+        out.extend(ids.iter().map(|&c| {
+            *point_via_lookups += 1;
+            let d = if clients[c as usize].partition == part {
+                0.0
+            } else {
+                combine_legs(legs.get(c as usize), shared)
+            };
+            (c, d)
+        }));
     } else {
-        ids.iter()
-            .map(|&c| {
-                *dist_computations += 1;
-                (
-                    c,
-                    cache.dist_point_to_partition(tree, &clients[c as usize], part),
-                )
-            })
-            .collect()
+        out.extend(ids.iter().map(|&c| {
+            *dist_computations += 1;
+            (
+                c,
+                cache.dist_point_to_partition(tree, &clients[c as usize], part),
+            )
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifls_venues::GridVenueSpec;
+    use std::collections::HashSet;
+
+    use ifls_venues::{GridVenueSpec, RandomVenueSpec};
     use ifls_viptree::VipTreeConfig;
+
+    /// Pops `ex` dry, expanding every popped node, and returns the popped
+    /// entries in order. Panics once more entries pop than one source has
+    /// entities, so an explorer that re-queues cannot loop forever.
+    fn drain(
+        ex: &mut Explorer<'_, '_>,
+        cache: &mut DistCache,
+        meter: &mut MemoryMeter,
+    ) -> Vec<QEntry> {
+        let entities = ex.tree.num_nodes() + ex.tree.venue().num_partitions();
+        let mut popped = Vec::new();
+        while let Some(e) = ex.pop(meter) {
+            assert!(popped.len() < entities, "an entity was queued twice");
+            if let Entity::Node(n) = e.entity {
+                ex.expand(e.source, n, cache, meter);
+            }
+            popped.push(e);
+        }
+        popped
+    }
+
+    #[test]
+    fn every_entity_is_queued_exactly_once_per_source() {
+        let mut venues = vec![(
+            "grid 2x24".to_string(),
+            GridVenueSpec::new("t", 2, 24).build(),
+        )];
+        venues.extend((0..4).map(|seed| {
+            let venue = RandomVenueSpec {
+                cells_x: 4,
+                cells_y: 3,
+                levels: 3,
+                extra_door_prob: 0.4,
+                cell_size: 9.0,
+            }
+            .build(seed);
+            (format!("random seed {seed}"), venue)
+        }));
+        for (name, venue) in &venues {
+            for config in [VipTreeConfig::default(), VipTreeConfig::ip_tree()] {
+                let tree = VipTree::build(venue, config);
+                let mut cache = DistCache::default();
+                for src in venue.partition_ids() {
+                    let mut meter = MemoryMeter::default();
+                    let mut ex = Explorer::new(&tree);
+                    ex.seed_source(src, &mut meter);
+                    let popped = drain(&mut ex, &mut cache, &mut meter);
+                    let mut seen = HashSet::new();
+                    for e in &popped {
+                        assert_eq!(e.source, src);
+                        assert!(
+                            seen.insert(e.entity),
+                            "{name} {config:?}: {:?} popped twice for {src}",
+                            e.entity
+                        );
+                    }
+                    assert!(
+                        !seen.contains(&Entity::Part(src)),
+                        "{name}: the source popped"
+                    );
+                    assert_eq!(
+                        popped.len(),
+                        tree.num_nodes() + venue.num_partitions() - 1,
+                        "{name} {config:?}: source {src} did not reach every entity"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn dequeue_keys_are_nondecreasing_and_cover_all_partitions() {
@@ -441,19 +484,15 @@ mod tests {
         ex.seed_source(src, &mut meter);
         let mut last = 0.0f64;
         let mut seen_parts = HashSet::new();
-        while let Some(e) = ex.pop(&mut meter) {
+        for e in drain(&mut ex, &mut cache, &mut meter) {
             assert!(
                 e.key >= last - 1e-12,
                 "keys regressed: {} after {last}",
                 e.key
             );
             last = e.key;
-            match e.entity {
-                Entity::Part(p) => {
-                    seen_parts.insert(p);
-                    ex.expand(e.source, e.entity, &mut cache, &mut meter);
-                }
-                Entity::Node(_) => ex.expand(e.source, e.entity, &mut cache, &mut meter),
+            if let Entity::Part(p) = e.entity {
+                seen_parts.insert(p);
             }
         }
         // Every partition except the source itself is eventually dequeued.
@@ -470,7 +509,7 @@ mod tests {
         let mut ex = Explorer::new(&tree);
         let src = venue.partitions()[0].id();
         ex.seed_source(src, &mut meter);
-        while let Some(e) = ex.pop(&mut meter) {
+        for e in drain(&mut ex, &mut cache, &mut meter) {
             if let Entity::Part(p) = e.entity {
                 let exact = tree.min_dist_partition_to_partition(src, p);
                 assert!(
@@ -478,7 +517,6 @@ mod tests {
                     "partition keys are exact iMinD"
                 );
             }
-            ex.expand(e.source, e.entity, &mut cache, &mut meter);
         }
     }
 }

@@ -7,9 +7,10 @@
 //! * A global priority queue holds `(client partition p, indoor entity I)`
 //!   pairs keyed by `iMinD(p, I)`. For each partition hosting clients, the
 //!   search starts at its *leaf node* and expands parents and children
-//!   (bottom-up), never re-enqueueing an entity for the same source. The
-//!   key of the last dequeued entry is the **global distance** `Gd`: every
-//!   facility within `Gd` of any client partition has been retrieved.
+//!   (bottom-up), never re-enqueueing an entity for the same source (the
+//!   tree's shape rules that out; no visited set is kept). The key of the
+//!   last dequeued entry is the **global distance** `Gd`: every facility
+//!   within `Gd` of any client partition has been retrieved.
 //! * Clients in the same partition are **grouped**: the door-to-facility
 //!   distance vector is computed once per (partition, facility) pair and
 //!   combined with each client's in-partition door legs (this subsumes the
@@ -396,6 +397,9 @@ impl<'t, 'v, P: ObjectivePolicy> EfficientSolver<'t, 'v, P> {
         if !answered {
             let _loop_span = ifls_obs::span(Phase::CandidateLoop);
             let mut pops = 0u64;
+            // Reused by every retrieval: working clients, their distances.
+            let mut active = Vec::new();
+            let mut dists_out = Vec::new();
             exit = loop {
                 // Budget checkpoint: one poll per queue pop. On a trip the
                 // policy's state is the best-so-far snapshot.
@@ -419,36 +423,44 @@ impl<'t, 'v, P: ObjectivePolicy> EfficientSolver<'t, 'v, P> {
                         // Algorithm 3 lines 10–13: retrieve the facility for
                         // every working client of the source, grouped per §5.
                         Entity::Part(part) if fe.contains(part) || fn_.contains(part) => {
-                            let ids: Vec<u32> = if prune {
-                                clients_here
-                                    .iter()
-                                    .copied()
-                                    .filter(|&c| policy.is_active(c))
-                                    .collect()
+                            let ids: &[u32] = if prune {
+                                active.clear();
+                                active.extend(
+                                    clients_here
+                                        .iter()
+                                        .copied()
+                                        .filter(|&c| policy.is_active(c)),
+                                );
+                                &active
                             } else {
-                                clients_here.clone()
+                                clients_here
                             };
                             let _span = ifls_obs::span(Phase::GroupRetrieval);
                             let existing = fe.contains(part);
-                            for (c, d) in retrieval_dists(
+                            retrieval_dists(
                                 tree,
                                 q.clients,
                                 legs,
-                                &ids,
+                                ids,
                                 source,
                                 part,
                                 self.config.group_clients,
                                 cache,
                                 &mut dist_computations,
                                 &mut point_via_lookups,
-                            ) {
+                                &mut dists_out,
+                            );
+                            for &(c, d) in &dists_out {
                                 facilities_retrieved += 1;
                                 policy.intake(Event::new(c, part, d), existing, &mut meter);
                             }
                         }
-                        // Non-facility entity: expand parent and children
-                        // (Algorithm 3 lines 14–22).
-                        entity => explorer.expand(source, entity, cache, &mut meter),
+                        // A non-facility partition expands nothing: its
+                        // leaf is queued already.
+                        Entity::Part(_) => {}
+                        // Algorithm 3 lines 14–22: queue the node's parent
+                        // and children not yet queued for this source.
+                        Entity::Node(node) => explorer.expand(source, node, cache, &mut meter),
                     }
                 }
                 pops += 1;
